@@ -150,7 +150,10 @@ fn render_json(cells: &[CityCell]) -> String {
         .find(|c| c.shards == 1)
         .map(|c| c.events_per_sec())
         .unwrap_or(0.0);
-    let mut out = String::from("{\n  \"experiment\": \"city\",\n  \"cells\": [\n");
+    let mut out = format!(
+        "{{\n  \"experiment\": \"city\",\n  \"cpu_count\": {},\n  \"cells\": [\n",
+        runner::cpu_count()
+    );
     for (i, c) in cells.iter().enumerate() {
         let r = &c.report;
         let frames_done: u64 = r.ues.iter().map(|u| u.frames_done).sum();

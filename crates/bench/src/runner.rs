@@ -129,11 +129,17 @@ pub fn set_jobs(jobs: Option<usize>) {
 /// machine's available parallelism when unset.
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        0 => cpu_count(),
         n => n,
     }
+}
+
+/// Hardware threads available to this process, recorded next to wall-clock
+/// numbers in the BENCH JSON files.
+pub fn cpu_count() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Run `f` over every cell of a labelled grid, in parallel across up to

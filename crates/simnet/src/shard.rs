@@ -616,34 +616,18 @@ pub(crate) fn run_serial(sim: &mut Simulator, limit: Instant) -> u64 {
 /// propagation delay over links whose endpoints live on different shards,
 /// plus the per-shard-pair matrix `D⁺` of minimum ≥1-link cross-shard path
 /// delays (Floyd–Warshall closure over the per-pair direct minima; the
-/// diagonal holds the minimum cycle delay back to a shard). Panics on a
-/// zero-delay cross-shard link — the window would be empty and the run
-/// could never make progress.
+/// diagonal holds the minimum cycle delay back to a shard). The direct
+/// minima come from the simulator's maintained region-pair delays, so the
+/// cost is O(region pairs + shards³), independent of the link count.
+/// Panics on a zero-delay cross-shard link (see
+/// [`Simulator::direct_shard_delays`]).
 pub(crate) fn ensure_lookahead(sim: &mut Simulator) -> Duration {
     if let (Some(l), Some(_)) = (sim.lookahead, &sim.pair_look) {
         return l;
     }
     let nsh = sim.shards();
-    let mut pair = vec![u64::MAX; nsh * nsh];
-    let mut min = u64::MAX;
-    for (src, ports) in sim.links.iter().enumerate() {
-        for link in ports.iter().flatten() {
-            let dst = link.to().0;
-            let (su, sv) = (sim.shard_of[src] as usize, sim.shard_of[dst] as usize);
-            if su != sv {
-                let d = link.delay();
-                assert!(
-                    d > Duration::ZERO,
-                    "cross-shard link {src} -> {dst} has zero propagation delay; \
-                     conservative lookahead would be zero (co-locate both endpoints \
-                     in one region or give the link a positive delay)"
-                );
-                min = min.min(d.nanos());
-                let cell = &mut pair[su * nsh + sv];
-                *cell = (*cell).min(d.nanos());
-            }
-        }
-    }
+    let mut pair = sim.direct_shard_delays();
+    let min = pair.iter().copied().min().unwrap_or(u64::MAX);
     // Transitive closure: an event processed on shard `u` can only affect
     // shard `s` through a chain of cross-shard hops (same-shard forwarding
     // legs in between only add delay), so the tightest sound bound per
@@ -777,11 +761,7 @@ pub(crate) fn run_parallel(sim: &mut Simulator, limit: Instant) -> u64 {
     let start_now = sim.now;
     let adaptive = sim.adaptive;
 
-    let mut owned = vec![false; nsh];
-    for &s in &sim.shard_of {
-        owned[s as usize] = true;
-    }
-    let active: Vec<usize> = (0..nsh).filter(|&s| owned[s]).collect();
+    let active = sim.active_shards();
 
     let pair_look: &[u64] = sim.pair_look.as_deref().expect("lookahead just computed");
     let pair = adaptive.then_some(pair_look);

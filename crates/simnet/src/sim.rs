@@ -40,6 +40,7 @@ use rand::RngCore;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Identifier of a node within a simulator.
@@ -376,6 +377,25 @@ impl EvPayload {
     }
 }
 
+/// Placement state of one region, maintained incrementally.
+struct Region {
+    /// Placement weight: node count plus outgoing link count (bias not
+    /// included).
+    weight: u64,
+    /// The shard every node of the region executes on.
+    shard: u32,
+    /// The region's nodes, so a move relabels only them.
+    nodes: Vec<NodeId>,
+}
+
+/// Minimum direct link delay from one region to another, with one link
+/// that achieves it (named by the zero-delay lookahead panic).
+#[derive(Clone, Copy)]
+struct PairDelay {
+    nanos: u64,
+    witness: (NodeId, NodeId),
+}
+
 /// The discrete-event network simulator.
 pub struct Simulator {
     pub(crate) now: Instant,
@@ -389,17 +409,28 @@ pub struct Simulator {
     pub(crate) meta: Vec<NodeMeta>,
     /// Per-node region label (assigned at add time).
     region: Vec<u32>,
-    /// Per-node shard, derived from the region assignment (see
-    /// [`PlacementMode`]); provisional `region % nshards` until the next
-    /// [`Simulator::ensure_placement`].
+    /// Per-node shard: always the shard of the node's region (see
+    /// [`Region::shard`]).
     pub(crate) shard_of: Vec<u32>,
+    /// Per-region placement inputs, kept up to date as nodes and links
+    /// are added so placement never rescans the topology.
+    regions: BTreeMap<u32, Region>,
+    /// Minimum direct link delay per ordered pair of distinct regions,
+    /// kept up to date by [`Simulator::connect_simplex`]: the only input
+    /// the lookahead needs, so it never walks the link table.
+    region_pairs: BTreeMap<(u32, u32), PairDelay>,
+    /// `region_pairs` must be rebuilt from the link table before its next
+    /// use (a reconfiguration changed a cross-region link's delay).
+    region_pairs_stale: bool,
+    /// Full link-table rescans performed (rebuilds of `region_pairs`).
+    pub(crate) link_rescans: u64,
     /// Region→shard policy.
     placement: PlacementMode,
-    /// Re-run placement before the next parallel run (topology changed).
+    /// Re-run placement before the next parallel run (weights changed).
     placement_dirty: bool,
     /// Extra placement weight per region (see
     /// [`Simulator::set_region_weight_bias`]).
-    weight_bias: std::collections::BTreeMap<u32, u64>,
+    weight_bias: BTreeMap<u32, u64>,
     /// Emission counter for harness-injected events.
     ext_ctr: u64,
     /// Packets injected by the harness (conservation accounting).
@@ -448,9 +479,13 @@ impl Simulator {
             meta: Vec::new(),
             region: Vec::new(),
             shard_of: Vec::new(),
+            regions: BTreeMap::new(),
+            region_pairs: BTreeMap::new(),
+            region_pairs_stale: false,
+            link_rescans: 0,
             placement: PlacementMode::default(),
             placement_dirty: false,
-            weight_bias: std::collections::BTreeMap::new(),
+            weight_bias: BTreeMap::new(),
             ext_ctr: 0,
             injected: 0,
             counters: vec![ShardCounters::default(); shards],
@@ -520,8 +555,10 @@ impl Simulator {
 
     /// The conservative lookahead (minimum cross-shard propagation delay)
     /// the parallel driver would use right now; `None` until first
-    /// computed or after a topology change. `Duration::ZERO` never occurs
-    /// — a zero-delay cross-shard link is rejected.
+    /// computed or after a change that can move it (a placement move, a
+    /// lower region-pair delay, a reconfigured cross-region delay).
+    /// `Duration::ZERO` never occurs — a zero-delay cross-shard link is
+    /// rejected.
     pub fn lookahead(&self) -> Option<Duration> {
         self.lookahead
     }
@@ -542,8 +579,18 @@ impl Simulator {
         self.links.push(Vec::new());
         self.meta.push(NodeMeta::new(self.seed, id));
         self.region.push(region);
-        self.shard_of.push(region % self.nshards as u32);
-        self.lookahead = None;
+        // A node joins its region's shard; a new region starts on
+        // `region % shards` until the next placement pass. A node without
+        // links cannot change the lookahead.
+        let nshards = self.nshards as u32;
+        let r = self.regions.entry(region).or_insert_with(|| Region {
+            weight: 0,
+            shard: region % nshards,
+            nodes: Vec::new(),
+        });
+        r.weight += 1;
+        r.nodes.push(id);
+        self.shard_of.push(r.shard);
         self.placement_dirty = true;
         id
     }
@@ -613,9 +660,11 @@ impl Simulator {
             .map_or(0, crate::shard::ShardPool::workers)
     }
 
-    /// Re-derive `shard_of` from the current topology if it changed since
-    /// the last run, migrating any queued events onto their new wheels.
-    /// Cheap no-op when nothing changed or with a single shard.
+    /// Re-run placement if the region weights changed since the last run,
+    /// relabelling the nodes of every region that moved and migrating any
+    /// queued events onto their new wheels. O(R log R) over the maintained
+    /// region weights plus the moved regions' nodes; a no-op when nothing
+    /// changed or with a single shard.
     pub(crate) fn ensure_placement(&mut self) {
         if !self.placement_dirty {
             return;
@@ -624,12 +673,14 @@ impl Simulator {
         if self.nshards == 1 {
             return;
         }
-        let assignment = self.compute_placement();
         let mut changed = false;
-        for (node, &r) in self.region.iter().enumerate() {
-            let s = assignment[&r];
-            if self.shard_of[node] != s {
-                self.shard_of[node] = s;
+        for (r, s) in self.compute_placement() {
+            let region = self.regions.get_mut(&r).expect("placed region exists");
+            if region.shard != s {
+                region.shard = s;
+                for &node in &region.nodes {
+                    self.shard_of[node] = s;
+                }
                 changed = true;
             }
         }
@@ -650,43 +701,44 @@ impl Simulator {
         self.pair_look = None;
     }
 
-    /// The balanced (or modulo) region→shard map for the current topology.
-    /// Deterministic and seed-independent: regions are weighed by node
-    /// count plus outgoing link count, sorted by `(weight desc, region)`,
-    /// and greedily packed onto the lightest shard (ties to the lowest
-    /// shard index).
-    fn compute_placement(&self) -> std::collections::BTreeMap<u32, u32> {
-        let mut weights = std::collections::BTreeMap::<u32, u64>::new();
-        for (node, &r) in self.region.iter().enumerate() {
-            let links = self.links[node].iter().flatten().count() as u64;
-            *weights.entry(r).or_insert(0) += 1 + links;
-        }
-        for (&r, &extra) in &self.weight_bias {
-            if let Some(w) = weights.get_mut(&r) {
-                *w += extra;
-            }
-        }
+    /// A region's placement weight: node count plus outgoing link count,
+    /// plus its bias.
+    fn placement_weight(&self, r: u32, region: &Region) -> u64 {
+        region.weight + self.weight_bias.get(&r).copied().unwrap_or(0)
+    }
+
+    /// The balanced (or modulo) region→shard map for the current topology,
+    /// as `(region, shard)` pairs. Deterministic and seed-independent:
+    /// regions are sorted by `(weight desc, region)` and greedily packed
+    /// onto the lightest shard (ties to the lowest shard index).
+    fn compute_placement(&self) -> Vec<(u32, u32)> {
         match self.placement {
-            PlacementMode::Modulo => weights
+            PlacementMode::Modulo => self
+                .regions
                 .keys()
                 .map(|&r| (r, r % self.nshards as u32))
                 .collect(),
             PlacementMode::Balanced => {
-                let mut order: Vec<(u32, u64)> = weights.iter().map(|(&r, &w)| (r, w)).collect();
+                let mut order: Vec<(u32, u64)> = self
+                    .regions
+                    .iter()
+                    .map(|(&r, region)| (r, self.placement_weight(r, region)))
+                    .collect();
                 order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 let mut load = vec![0u64; self.nshards];
-                let mut map = std::collections::BTreeMap::new();
-                for (r, w) in order {
-                    let s = load
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(i, &l)| (l, i))
-                        .map(|(i, _)| i)
-                        .expect("at least one shard");
-                    load[s] += w;
-                    map.insert(r, s as u32);
-                }
-                map
+                order
+                    .into_iter()
+                    .map(|(r, w)| {
+                        let s = load
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|&(i, &l)| (l, i))
+                            .map(|(i, _)| i)
+                            .expect("at least one shard");
+                        load[s] += w;
+                        (r, s as u32)
+                    })
+                    .collect()
             }
         }
     }
@@ -696,18 +748,85 @@ impl Simulator {
     /// placement pass first.
     pub fn region_assignments(&mut self) -> Vec<(u32, u32, u64)> {
         self.ensure_placement();
-        let mut weights = std::collections::BTreeMap::<u32, (u32, u64)>::new();
-        for (node, &r) in self.region.iter().enumerate() {
-            let links = self.links[node].iter().flatten().count() as u64;
-            let e = weights.entry(r).or_insert((self.shard_of[node], 0));
-            e.1 += 1 + links;
+        self.regions
+            .iter()
+            .map(|(&r, region)| (r, region.shard, self.placement_weight(r, region)))
+            .collect()
+    }
+
+    /// Shards that own at least one node, ascending.
+    pub(crate) fn active_shards(&self) -> Vec<usize> {
+        let mut owned = vec![false; self.nshards];
+        for region in self.regions.values() {
+            owned[region.shard as usize] = true;
         }
-        for (&r, &extra) in &self.weight_bias {
-            if let Some(e) = weights.get_mut(&r) {
-                e.1 += extra;
+        (0..self.nshards).filter(|&s| owned[s]).collect()
+    }
+
+    /// The direct cross-shard delay matrix (row-major `shards × shards`,
+    /// nanoseconds, `u64::MAX` = no direct link): entry `[u][s]` is the
+    /// minimum delay of any link from a node on `u` to a node on `s != u`.
+    /// Folds the maintained region-pair minima, O(region pairs), and walks
+    /// the link table only after a delay reconfiguration. Panics on a
+    /// zero-delay cross-shard link — the window would be empty and the run
+    /// could never make progress.
+    pub(crate) fn direct_shard_delays(&mut self) -> Vec<u64> {
+        if self.region_pairs_stale {
+            self.rescan_region_pairs();
+        }
+        let nsh = self.nshards;
+        let mut direct = vec![u64::MAX; nsh * nsh];
+        for (&(ra, rb), pair) in &self.region_pairs {
+            let (su, sv) = (
+                self.regions[&ra].shard as usize,
+                self.regions[&rb].shard as usize,
+            );
+            if su != sv {
+                let (src, dst) = pair.witness;
+                assert!(
+                    pair.nanos > 0,
+                    "cross-shard link {src} -> {dst} has zero propagation delay; \
+                     conservative lookahead would be zero (co-locate both endpoints \
+                     in one region or give the link a positive delay)"
+                );
+                let cell = &mut direct[su * nsh + sv];
+                *cell = (*cell).min(pair.nanos);
             }
         }
-        weights.into_iter().map(|(r, (s, w))| (r, s, w)).collect()
+        direct
+    }
+
+    /// Lower the `(from region, to region)` minimum to `nanos` if the link
+    /// `witness` beats it. Returns whether the minimum changed.
+    fn relax_region_pair(&mut self, witness: (NodeId, NodeId), nanos: u64) -> bool {
+        let key = (self.region[witness.0], self.region[witness.1]);
+        if key.0 == key.1 {
+            return false;
+        }
+        let lower = self
+            .region_pairs
+            .get(&key)
+            .is_none_or(|pair| nanos < pair.nanos);
+        if lower {
+            self.region_pairs.insert(key, PairDelay { nanos, witness });
+        }
+        lower
+    }
+
+    /// Rebuild `region_pairs` from the full link table.
+    fn rescan_region_pairs(&mut self) {
+        self.region_pairs.clear();
+        for src in 0..self.links.len() {
+            for port in 0..self.links[src].len() {
+                let Some(link) = &self.links[src][port] else {
+                    continue;
+                };
+                let (dst, nanos) = (link.to().0, link.delay().nanos());
+                self.relax_region_pair((src, dst), nanos);
+            }
+        }
+        self.region_pairs_stale = false;
+        self.link_rescans += 1;
     }
 
     /// The per-shard-pair lookahead matrix the parallel driver would use
@@ -738,9 +857,17 @@ impl Simulator {
             ports.resize_with(from.1 + 1, || None);
         }
         assert!(ports[from.1].is_none(), "port {from:?} already connected");
+        let nanos = cfg.delay.nanos();
         ports[from.1] = Some(Link::new(cfg, to, seed));
-        self.lookahead = None;
+        let region = self.region[from.0];
+        self.regions
+            .get_mut(&region)
+            .expect("node has a region")
+            .weight += 1;
         self.placement_dirty = true;
+        if self.relax_region_pair((from.0, to.0), nanos) {
+            self.lookahead = None;
+        }
     }
 
     /// Connect two nodes with a symmetric pair of links.
@@ -908,11 +1035,18 @@ impl Simulator {
     }
 
     /// Mutate the configuration of an existing link (e.g. change its rate
-    /// mid-experiment).
+    /// mid-experiment). Only a delay change on a cross-region link touches
+    /// the lookahead: it marks the region-pair minima for one full rescan
+    /// of the link table before the next parallel run.
     pub fn reconfigure_link(&mut self, from: (NodeId, PortId), f: impl FnOnce(&mut LinkConfig)) {
         let link = self.link_mut(from).expect("reconfigure of unknown link");
+        let before = link.delay();
         link.reconfigure(f);
-        self.lookahead = None;
+        let (to, after) = (link.to().0, link.delay());
+        if after != before && self.region[from.0] != self.region[to] {
+            self.region_pairs_stale = true;
+            self.lookahead = None;
+        }
     }
 }
 
@@ -1582,6 +1716,56 @@ mod tests {
         assert_eq!(m[sc * 3 + sa], u64::MAX, "no reverse path");
         assert_eq!(m[sa * 3 + sa], u64::MAX, "no cycle back to shard");
         assert_eq!(sim.lookahead(), Some(Duration::from_millis(1)));
+    }
+
+    /// Growing the topology between runs keeps placement and lookahead
+    /// current without a single full link-table rescan; only a delay
+    /// change on a cross-region link pays for one.
+    #[test]
+    fn growth_never_rescans_the_link_table() {
+        let mut sim = Simulator::with_shards(9, 2);
+        let hubs: Vec<NodeId> = (0..4)
+            .map(|r| sim.add_node_in_region(Box::new(Echo { seen: 0 }), r))
+            .collect();
+        for (i, &hub) in hubs.iter().enumerate() {
+            let next = hubs[(i + 1) % hubs.len()];
+            sim.connect_simplex(
+                (hub, 0),
+                (next, 1),
+                LinkConfig::delay_only(Duration::from_millis(1 + i as u64)),
+            );
+        }
+        for k in 0..40u64 {
+            let r = (k % 4) as u32;
+            let leaf = sim.add_node_in_region(Box::new(Echo { seen: 0 }), r);
+            sim.connect(
+                (leaf, 0),
+                (hubs[r as usize], 2 + k as usize),
+                LinkConfig::delay_only(Duration::from_micros(50)),
+            );
+            sim.run_until(Instant::from_millis(k + 1));
+            sim.pair_lookahead_matrix();
+        }
+        assert_eq!(sim.link_rescans, 0, "growth must not rescan links");
+        let matrix = sim.pair_lookahead_matrix();
+
+        // A loss-only or intra-region change keeps the cached lookahead.
+        sim.reconfigure_link((hubs[0], 0), |cfg| cfg.loss = 0.5);
+        sim.reconfigure_link((hubs[1], 2 + 1), |cfg| {
+            cfg.delay = Duration::from_millis(7);
+        });
+        assert!(sim.lookahead().is_some(), "no lookahead input changed");
+        assert_eq!(sim.pair_lookahead_matrix(), matrix);
+        assert_eq!(sim.link_rescans, 0);
+
+        // A cross-region delay change costs exactly one rescan.
+        sim.reconfigure_link((hubs[0], 0), |cfg| {
+            cfg.delay = Duration::from_millis(20);
+        });
+        assert!(sim.lookahead().is_none());
+        sim.pair_lookahead_matrix();
+        sim.pair_lookahead_matrix();
+        assert_eq!(sim.link_rescans, 1);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   is enforced;
 //! * an occupancy bitmap so advancing the cursor over empty slots costs a
 //!   couple of word scans rather than a per-slot walk;
+//! * slot lists keep their allocation between uses only up to
+//!   `SLOT_KEEP` entries: lock-stepped sessions put thousands of events
+//!   in one slot, and keeping every slot's largest burst held 190 MB on
+//!   the 2048-UE city run;
 //! * an overflow heap for events beyond the ring horizon, migrated into
 //!   the ring lazily as the cursor approaches them.
 //!
@@ -39,6 +43,9 @@ const SLOTS: usize = 4096;
 const WORDS: usize = SLOTS / 64;
 /// Width of one slot in simulated time.
 pub const SLOT_WIDTH: u64 = 1 << SLOT_SHIFT;
+/// Largest slot list capacity (in entries) kept for reuse once the slot
+/// is drained.
+const SLOT_KEEP: usize = 32;
 
 /// A scheduled entry: the `(at, key)` pair plus an arbitrary payload. The
 /// tie-break key `K` is `u64` for the classic global-sequence ordering, or
@@ -181,7 +188,12 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
                 for e in v.drain(..) {
                     self.cur.push(Reverse(e));
                 }
-                self.slots[s] = v; // keep the allocation
+                // Keep a small allocation for the slot's next use; a
+                // burst's buffer is released so the ring retains what is
+                // pending, not the largest burst each slot ever held.
+                if v.capacity() <= SLOT_KEEP {
+                    self.slots[s] = v;
+                }
             } else {
                 // Ring empty: jump the cursor to the earliest overflow
                 // event's bucket.

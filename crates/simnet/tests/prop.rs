@@ -738,3 +738,116 @@ proptest! {
         }
     }
 }
+
+/// Final shape of a grown topology: each node's region, each simplex
+/// link as `(from, from_port, to, delay_us)`, and a region weight bias.
+struct Grown {
+    regions: Vec<u32>,
+    links: Vec<(NodeId, PortId, NodeId, u64)>,
+    bias: (u32, u64),
+}
+
+/// Add a node in region `r` to both `sim` and its record `grown`, with
+/// a pending timer and arrival the next placement pass must migrate.
+fn grow_node(sim: &mut Simulator, grown: &mut Grown, next_port: &mut Vec<PortId>, r: u32) {
+    let id = sim.add_node_in_region(Box::new(Reflector::new()), r);
+    grown.regions.push(r);
+    next_port.push(1);
+    let now = sim.now();
+    sim.schedule_timer(id, now + Duration::from_millis(3), 0);
+    let pkt = Packet::icmp(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), 56);
+    sim.inject_packet(id, 999, now + Duration::from_millis(1), pkt);
+}
+
+/// Build `grown` into a fresh simulator in one go and return its
+/// placement and pair lookahead.
+fn from_scratch(grown: &Grown, shards: usize) -> (Vec<(u32, u32, u64)>, Vec<u64>) {
+    let mut sim = Simulator::with_shards(3, shards);
+    for &r in &grown.regions {
+        sim.add_node_in_region(Box::new(Reflector::new()), r);
+    }
+    for &(from, port, to, delay_us) in &grown.links {
+        sim.connect_simplex(
+            (from, port),
+            (to, 0),
+            LinkConfig::delay_only(Duration::from_micros(delay_us)),
+        );
+    }
+    sim.set_region_weight_bias(grown.bias.0, grown.bias.1);
+    (sim.region_assignments(), sim.pair_lookahead_matrix())
+}
+
+proptest! {
+    /// Placement and lookahead inputs are maintained as the topology
+    /// grows: for any growth order — nodes and links added between
+    /// `run_until` calls with events pending, a weight bias set and one
+    /// link delay reconfigured along the way — the region→shard map and
+    /// the pair-lookahead matrix equal those of a fresh simulator given
+    /// the final topology in one go.
+    #[test]
+    fn incremental_growth_matches_from_scratch_build(
+        shards in 2usize..=5,
+        regions in 2u32..=6,
+        ops in prop::collection::vec((0u8..4, 0usize..1_000, 0usize..1_000, 1u64..20_000), 4..60),
+        bias in (0u32..6, 1u64..40),
+        bias_at in 0usize..60,
+        reconf in (0usize..60, 0usize..1_000, 1u64..20_000),
+    ) {
+        let mut sim = Simulator::with_shards(3, shards);
+        let mut grown = Grown { regions: Vec::new(), links: Vec::new(), bias };
+        let mut next_port: Vec<PortId> = Vec::new();
+        for r in 0..regions {
+            grow_node(&mut sim, &mut grown, &mut next_port, r);
+        }
+        for (i, &(kind, a, b, delay_us)) in ops.iter().enumerate() {
+            let n = grown.regions.len();
+            match kind {
+                0 => grow_node(&mut sim, &mut grown, &mut next_port, (a % regions as usize) as u32),
+                1 | 2 => {
+                    let (from, to) = (a % n, b % n);
+                    let port = next_port[from];
+                    next_port[from] += 1;
+                    sim.connect_simplex(
+                        (from, port),
+                        (to, 0),
+                        LinkConfig::delay_only(Duration::from_micros(delay_us)),
+                    );
+                    grown.links.push((from, port, to, delay_us));
+                }
+                _ => {
+                    let until = sim.now() + Duration::from_micros(delay_us);
+                    sim.run_until(until);
+                }
+            }
+            if i == bias_at % ops.len() {
+                sim.set_region_weight_bias(bias.0, bias.1);
+            }
+            if i == reconf.0 % ops.len() && !grown.links.is_empty() {
+                let k = reconf.1 % grown.links.len();
+                let (from, port, _, _) = grown.links[k];
+                sim.reconfigure_link((from, port), |cfg| {
+                    cfg.delay = Duration::from_micros(reconf.2);
+                });
+                grown.links[k].3 = reconf.2;
+            }
+            if kind == 3 {
+                // Force placement and lookahead mid-growth too.
+                sim.pair_lookahead_matrix();
+            }
+        }
+        let (assign, matrix) = from_scratch(&grown, shards);
+        prop_assert_eq!(sim.region_assignments(), assign.clone());
+        prop_assert_eq!(sim.pair_lookahead_matrix(), matrix);
+        // The weights are node count plus outgoing link count plus bias,
+        // and every node runs on its region's shard.
+        for &(r, s, w) in &assign {
+            let nodes = grown.regions.iter().filter(|&&nr| nr == r).count();
+            let links = grown.links.iter().filter(|l| grown.regions[l.0] == r).count();
+            let extra = if r == bias.0 { bias.1 } else { 0 };
+            prop_assert_eq!(w, (nodes + links) as u64 + extra, "region {} weight", r);
+            for (node, _) in grown.regions.iter().enumerate().filter(|&(_, &nr)| nr == r) {
+                prop_assert_eq!(sim.shard_of_node(node), s, "node {} shard", node);
+            }
+        }
+    }
+}
