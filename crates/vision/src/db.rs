@@ -8,7 +8,7 @@
 //! images are tagged by subsection; localization prunes the search space to
 //! the subsections near the user.
 
-use crate::feature::{object_features, FeatureSet};
+use crate::feature::{object_features, FeatureSet, DESC_DIM};
 use crate::image::{ImageSpec, Resolution};
 use crate::matcher::{match_pair, MatchOps, MatcherConfig, PairOutcome};
 use acacia_geo::floor::FloorPlan;
@@ -44,7 +44,7 @@ pub struct ObjectDb {
 }
 
 /// Result of matching a frame against a set of candidate objects.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// Best-matching object id and its pair outcome, if any object passed
     /// the cascade.
@@ -227,9 +227,20 @@ impl ObjectDb {
         serde_json::to_string(self)
     }
 
-    /// Load from JSON.
+    /// Load from JSON. A descriptor that is not [`DESC_DIM`] long is an
+    /// error: the matcher's distance kernel is built for that width.
     pub fn from_json(s: &str) -> serde_json::Result<ObjectDb> {
-        serde_json::from_str(s)
+        let db: ObjectDb = serde_json::from_str(s)?;
+        for o in &db.objects {
+            let mut lens = o.features.features.iter().map(|f| f.descriptor.0.len());
+            if let Some(len) = lens.find(|&len| len != DESC_DIM) {
+                return Err(serde::de::Error::custom(format!(
+                    "object {}: descriptor of length {len}, expected {DESC_DIM}",
+                    o.id
+                )));
+            }
+        }
+        Ok(db)
     }
 
     /// Persist to a file (the AR back-end "reads the current database
@@ -379,6 +390,22 @@ mod tests {
         assert_eq!(back.objects()[7].features, db.objects()[7].features);
         // A missing file reports an error rather than panicking.
         assert!(ObjectDb::load(std::path::Path::new("/nonexistent/x.json")).is_err());
+    }
+
+    #[test]
+    fn load_rejects_descriptors_that_are_not_desc_dim_long() {
+        let floor = FloorPlan::retail_store();
+        let mut db = ObjectDb::generate_retail(&floor, 1, 9);
+        db.objects[4].features.features[2].descriptor.0.pop();
+        let json = db.to_json().unwrap();
+        let err = ObjectDb::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("length 63"), "{err}");
+        let path =
+            std::env::temp_dir().join(format!("acacia-db-short-{}.json", std::process::id()));
+        std::fs::write(&path, &json).unwrap();
+        let loaded = ObjectDb::load(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -85,21 +85,19 @@ impl FeatureSet {
         self.features.is_empty()
     }
 
-    /// Deterministically subsample to at most `k` features by taking the
-    /// prefix. Used to bound real matching work while op accounting uses
-    /// the full counts.
+    /// The first `k` features (all of them when `k` is 0 or at least the
+    /// set's length), borrowed. Used to bound real matching work while op
+    /// accounting uses the full counts.
     ///
     /// Prefix (rather than strided) selection matters: synthetic feature
     /// sets of the same object at different resolutions share a common
     /// *prefix* of base features, so prefix subsets of the query and the
     /// stored object still overlap and true matches survive subsampling.
-    pub fn subsample(&self, k: usize) -> FeatureSet {
-        if self.features.len() <= k || k == 0 {
-            return self.clone();
+    pub fn prefix(&self, k: usize) -> &[Feature] {
+        if k == 0 {
+            return &self.features;
         }
-        FeatureSet {
-            features: self.features[..k].to_vec(),
-        }
+        &self.features[..k.min(self.features.len())]
     }
 }
 
@@ -142,11 +140,15 @@ impl Similarity {
 
     /// Apply to a point.
     pub fn apply(&self, x: f32, y: f32) -> (f32, f32) {
+        self.mapper()(x, y)
+    }
+
+    /// [`Similarity::apply`] as a closure that takes `sin_cos` once, for
+    /// mapping many points; every result has the bits `apply` gives.
+    pub(crate) fn mapper(&self) -> impl Fn(f32, f32) -> (f32, f32) {
         let (s, c) = self.angle.sin_cos();
-        (
-            self.scale * (c * x - s * y) + self.tx,
-            self.scale * (s * x + c * y) + self.ty,
-        )
+        let Similarity { scale, tx, ty, .. } = *self;
+        move |x, y| (scale * (c * x - s * y) + tx, scale * (s * x + c * y) + ty)
     }
 }
 
@@ -340,14 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn subsample_preserves_at_most_k() {
+    fn prefix_preserves_at_most_k() {
         let base = object_features(9, 100);
-        let s = base.subsample(10);
+        let s = base.prefix(10);
         assert_eq!(s.len(), 10);
-        let all = base.subsample(200);
+        let all = base.prefix(200);
         assert_eq!(all.len(), 100);
-        // Subsampled features come from the original set.
-        for f in &s.features {
+        // Prefix features come from the original set.
+        for f in s {
             assert!(base.features.contains(f));
         }
     }

@@ -5,12 +5,13 @@
 //! 3. **RANSAC** geometric verification returning inliers,
 //! 4. inlier-count acceptance threshold.
 //!
-//! Matching executes on (optionally subsampled) real descriptors so the
-//! accuracy behaviour is genuine; operation counts are metered at the full
-//! feature-set sizes so device-time models stay faithful to the paper's
-//! workloads (see `DESIGN.md`, substitution ledger).
+//! Matching executes on a prefix of the real descriptors (see
+//! [`FeatureSet::prefix`]) so the accuracy behaviour is genuine; operation
+//! counts are metered at the full feature-set sizes so device-time models
+//! stay faithful to the paper's workloads (see `DESIGN.md`, substitution
+//! ledger).
 
-use crate::feature::{FeatureSet, Similarity};
+use crate::feature::{Feature, FeatureSet, Similarity, DESC_DIM};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -131,18 +132,15 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
         return PairOutcome::rejected(CascadeStage::TooFewFeatures, ops);
     }
 
-    let (q, t) = if cfg.exec_cap > 0 {
-        (query.subsample(cfg.exec_cap), train.subsample(cfg.exec_cap))
-    } else {
-        (query.clone(), train.clone())
-    };
+    let q = query.prefix(cfg.exec_cap);
+    let t = train.prefix(cfg.exec_cap);
+    let dist = DistMatrix::new(q, t);
 
     // Stage 1: forward 2-NN + ratio test.
     let mut forward: Vec<(usize, usize)> = Vec::new(); // (q_idx, t_idx)
-    for (qi, qf) in q.features.iter().enumerate() {
+    for qi in 0..q.len() {
         let (mut best, mut best_i, mut second) = (f32::INFINITY, usize::MAX, f32::INFINITY);
-        for (ti, tf) in t.features.iter().enumerate() {
-            let d = qf.descriptor.dist2(&tf.descriptor);
+        for (ti, &d) in dist.row(qi).iter().enumerate() {
             if d < best {
                 second = best;
                 best = d;
@@ -159,15 +157,15 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
         return PairOutcome::rejected(CascadeStage::RatioTest, ops);
     }
 
-    // Stage 2: symmetry test — reverse 1-NN must agree.
+    // Stage 2: symmetry test — reverse 1-NN must agree. The host reads the
+    // reverse distances off the forward matrix; the metered reverse pass is
+    // still a full brute-force scan.
     ops.distance_computations += full_t * full_q;
     ops.symmetry_checks += forward.len() as u64;
     let mut tentative: Vec<(usize, usize)> = Vec::new();
     for &(qi, ti) in &forward {
-        let tf = &t.features[ti];
         let (mut best, mut best_q) = (f32::INFINITY, usize::MAX);
-        for (qj, qf) in q.features.iter().enumerate() {
-            let d = tf.descriptor.dist2(&qf.descriptor);
+        for (qj, d) in dist.col(ti).enumerate() {
             if d < best {
                 best = d;
                 best_q = qj;
@@ -186,7 +184,7 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
 
     // Stage 3: RANSAC over a similarity model (2-point minimal sample).
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut best_inliers: Vec<usize> = Vec::new();
+    let mut best_inliers = 0;
     let mut best_model = None;
     for _ in 0..cfg.ransac_iters {
         ops.ransac_iterations += 1;
@@ -196,28 +194,27 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
             j = (j + 1) % tentative.len();
         }
         let model = match similarity_from_pairs(
-            point_of(&t, tentative[i].1),
-            point_of(&q, tentative[i].0),
-            point_of(&t, tentative[j].1),
-            point_of(&q, tentative[j].0),
+            point_of(t, tentative[i].1),
+            point_of(q, tentative[i].0),
+            point_of(t, tentative[j].1),
+            point_of(q, tentative[j].0),
         ) {
             Some(m) => m,
             None => continue,
         };
-        let inliers: Vec<usize> = tentative
+        let map = model.mapper();
+        let inliers = tentative
             .iter()
-            .enumerate()
-            .filter(|(_, &(qi, ti))| {
-                let (px, py) = point_of(&t, ti);
-                let (mx, my) = model.apply(px, py);
-                let (qx, qy) = point_of(&q, qi);
+            .filter(|&&(qi, ti)| {
+                let (px, py) = point_of(t, ti);
+                let (mx, my) = map(px, py);
+                let (qx, qy) = point_of(q, qi);
                 let dx = mx - qx;
                 let dy = my - qy;
                 (dx * dx + dy * dy).sqrt() <= cfg.inlier_px
             })
-            .map(|(k, _)| k)
-            .collect();
-        if inliers.len() > best_inliers.len() {
+            .count();
+        if inliers > best_inliers {
             best_inliers = inliers;
             best_model = Some(model);
         }
@@ -226,7 +223,7 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
     // Stage 4: acceptance. The executed-side inlier requirement scales with
     // the subsampling cap so that accuracy thresholds stay comparable.
     let min_inliers = effective_min_inliers(cfg, query.len());
-    let passed = best_inliers.len() >= min_inliers;
+    let passed = best_inliers >= min_inliers;
     PairOutcome {
         passed,
         stage: if passed {
@@ -234,11 +231,104 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
         } else {
             CascadeStage::Ransac
         },
-        inliers: best_inliers.len(),
+        inliers: best_inliers,
         tentative: tentative.len(),
         transform: if passed { best_model } else { None },
         ops,
     }
+}
+
+/// Train features per packed block: one per lane of the distance kernel.
+const LANES: usize = 8;
+/// Query rows run against one packed block together, so that their
+/// independent accumulators hide the add latency.
+const ROWS: usize = 4;
+
+/// The executed `nq × nt` squared-distance matrix, row-major by query.
+///
+/// Exactness contract: every entry sums `(q_d − t_d)²` from zero in
+/// dimension order — the operations, in the order, of
+/// [`Descriptor::dist2`](crate::feature::Descriptor::dist2) — so it has the
+/// bits `dist2` gives. The lanes hold different train features, never
+/// different dimensions: there is no FMA, no reassociation and no
+/// horizontal reduction. Since `t − q` is exactly `−(q − t)`, column `t` is
+/// also train feature `t` against every query feature.
+struct DistMatrix {
+    nt: usize,
+    d: Vec<f32>,
+}
+
+impl DistMatrix {
+    fn new(query: &[Feature], train: &[Feature]) -> DistMatrix {
+        let nt = train.len();
+        // The train prefix, dimension-major in blocks of LANES features;
+        // unused lanes of the last block stay zero and are never read back.
+        let mut packed = vec![[[0f32; LANES]; DESC_DIM]; nt.div_ceil(LANES)];
+        for (ti, f) in train.iter().enumerate() {
+            let block = &mut packed[ti / LANES];
+            for (dim, &v) in descriptor(f).iter().enumerate() {
+                block[dim][ti % LANES] = v;
+            }
+        }
+        let mut d = vec![0f32; query.len() * nt];
+        for (out, group) in d.chunks_mut(ROWS * nt).zip(query.chunks(ROWS)) {
+            match <&[Feature; ROWS]>::try_from(group) {
+                Ok(group) => fill_rows(group.each_ref().map(descriptor), &packed, out),
+                Err(_) => {
+                    for (out, f) in out.chunks_mut(nt).zip(group) {
+                        fill_rows([descriptor(f)], &packed, out);
+                    }
+                }
+            }
+        }
+        DistMatrix { nt, d }
+    }
+
+    /// Query feature `qi` against every train feature.
+    fn row(&self, qi: usize) -> &[f32] {
+        &self.d[qi * self.nt..][..self.nt]
+    }
+
+    /// Train feature `ti` against every query feature.
+    fn col(&self, ti: usize) -> impl Iterator<Item = f32> + '_ {
+        self.d[ti..].iter().step_by(self.nt).copied()
+    }
+}
+
+/// Fill `R` consecutive matrix rows (`out`, row-major) with the distances
+/// of `rows` to every packed train block.
+#[inline(always)]
+fn fill_rows<const R: usize>(
+    rows: [&[f32; DESC_DIM]; R],
+    packed: &[[[f32; LANES]; DESC_DIM]],
+    out: &mut [f32],
+) {
+    let nt = out.len() / R;
+    for (b, block) in packed.iter().enumerate() {
+        let mut acc = [[0f32; LANES]; R];
+        for (dim, t) in block.iter().enumerate() {
+            for (acc, q) in acc.iter_mut().zip(&rows) {
+                let q = q[dim];
+                for (a, &t) in acc.iter_mut().zip(t) {
+                    let diff = q - t;
+                    *a += diff * diff;
+                }
+            }
+        }
+        let lanes = LANES.min(nt - b * LANES);
+        for (r, acc) in acc.iter().enumerate() {
+            out[r * nt + b * LANES..][..lanes].copy_from_slice(&acc[..lanes]);
+        }
+    }
+}
+
+/// A feature's descriptor as the fixed-size vector the kernel packs.
+fn descriptor(f: &Feature) -> &[f32; DESC_DIM] {
+    f.descriptor
+        .0
+        .as_slice()
+        .try_into()
+        .expect("descriptors are DESC_DIM long")
 }
 
 /// Minimum inliers, shrunk proportionally when execution is subsampled.
@@ -250,8 +340,8 @@ fn effective_min_inliers(cfg: &MatcherConfig, full_query: usize) -> usize {
     ((cfg.min_inliers as f64 * frac).ceil() as usize).max(4)
 }
 
-fn point_of(set: &FeatureSet, idx: usize) -> (f32, f32) {
-    let k = &set.features[idx].keypoint;
+fn point_of(set: &[Feature], idx: usize) -> (f32, f32) {
+    let k = &set[idx].keypoint;
     (k.x, k.y)
 }
 
@@ -444,6 +534,30 @@ mod tests {
         );
         // Tentative correspondences can't exceed the executed cap.
         assert!(out.tentative <= 32);
+    }
+
+    #[test]
+    fn distance_matrix_is_bit_identical_to_dist2() {
+        // Sizes below one block, off block and row-group boundaries, and
+        // past the default cap.
+        let sizes = [
+            1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 24, 31, 33, 63, 64, 65, 100, 130,
+        ];
+        for (k, &nq) in sizes.iter().enumerate() {
+            for &nt in &sizes {
+                let q = object_features(40 + k as u64, nq);
+                let t = object_features(90 + nt as u64, nt);
+                let m = DistMatrix::new(&q.features, &t.features);
+                for (qi, qf) in q.features.iter().enumerate() {
+                    for (ti, tf) in t.features.iter().enumerate() {
+                        let want = qf.descriptor.dist2(&tf.descriptor).to_bits();
+                        assert_eq!(m.row(qi)[ti].to_bits(), want, "{nq}x{nt} at ({qi}, {ti})");
+                        let rev = tf.descriptor.dist2(&qf.descriptor).to_bits();
+                        assert_eq!(m.col(ti).nth(qi).unwrap().to_bits(), rev);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
