@@ -1,13 +1,18 @@
 //! Application-level messages exchanged between the CI app on the UE, the
 //! MRS and the CI (AR) server — serialized into packet payloads like any
-//! real application protocol.
+//! real application protocol, in the binary layout of
+//! [`acacia_simnet::codec`]. Each packet's wire size stays what the
+//! model was calibrated with: the message's compact-JSON length
+//! ([`AppMsg::json_len`]) plus any modelled extra bytes.
 
+use acacia_simnet::codec::{self, json_variant, JsonObject, Reader, Wire};
 use acacia_simnet::packet::{proto, Packet};
 use acacia_simnet::time::Instant;
+use acacia_simnet::wire_enum;
 use acacia_vision::compress::Codec;
-use acacia_vision::image::ImageSpec;
+use acacia_vision::image::{ImageSpec, Resolution};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// UDP port of the AR server (frames, chunks, results, rxPower reports).
@@ -18,7 +23,7 @@ pub const MRS_PORT: u16 = 8000;
 pub const APP_PORT: u16 = 9000;
 
 /// Frame metadata carried on the first chunk of each frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FrameMeta {
     /// Capture description (lets the synthetic server reconstruct the
     /// frame's features deterministically).
@@ -32,7 +37,7 @@ pub struct FrameMeta {
 }
 
 /// Application messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum AppMsg {
     /// One window chunk of an uploaded camera frame.
     FrameChunk {
@@ -43,7 +48,7 @@ pub enum AppMsg {
         /// Total chunks in this frame.
         total_chunks: u32,
         /// Frame metadata (present on chunk 0 only).
-        #[serde(skip_serializing_if = "Option::is_none", default)]
+        #[serde(skip_serializing_if = "Option::is_none")]
         meta: Option<FrameMeta>,
     },
     /// Server acknowledgement of a chunk (clocks the upload window).
@@ -104,8 +109,15 @@ pub enum AppMsg {
 }
 
 impl AppMsg {
+    /// Byte length of this message as compact JSON: the payload length
+    /// its modelled wire size assumes.
+    pub fn json_len(&self) -> usize {
+        Wire::json_len(self)
+    }
+
     /// Encode into a UDP packet. `extra_len` models payload bytes that are
     /// not literally stored (e.g. compressed image data in a frame chunk).
+    /// The wire size is header + [`Self::json_len`] + `extra_len`.
     pub fn into_packet(
         &self,
         src: (Ipv4Addr, u16),
@@ -113,9 +125,10 @@ impl AppMsg {
         extra_len: u32,
         at: Instant,
     ) -> Packet {
-        let body = serde_json::to_vec(self).expect("app message serializes");
+        let body = codec::encode(self);
+        let pad = self.json_len() - body.len();
         let mut pkt = Packet::udp_with_payload(src, dst, Bytes::from(body));
-        pkt.app_len = extra_len;
+        pkt.app_len = extra_len + pad as u32;
         pkt.created = at;
         pkt
     }
@@ -125,14 +138,79 @@ impl AppMsg {
         if pkt.protocol != proto::UDP {
             return None;
         }
-        serde_json::from_slice(&pkt.payload).ok()
+        codec::decode(&pkt.payload)
+    }
+}
+
+// Binary layout: tags number the variants in declaration order.
+wire_enum!(AppMsg {
+    0 FrameChunk { seq, chunk, total_chunks, meta if some },
+    1 ChunkAck { seq, chunk },
+    2 FrameResult { seq, matched, compute_s, match_s, candidates },
+    3 RxReport { landmark, rx_power_dbm },
+    4 MrsRequest { service, ue_addr, create },
+    5 Heartbeat { service, server },
+    6 MrsAck { service, ok, server },
+});
+
+/// The vision types are written field by field: scene id, width, height,
+/// then the codec as a tag byte (`0` JPEG plus its quality, `1` PNG, `2`
+/// raw gray).
+impl Wire for FrameMeta {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.spec.scene_id.put(out);
+        self.spec.resolution.w.put(out);
+        self.spec.resolution.h.put(out);
+        match self.codec {
+            Codec::Jpeg(q) => out.extend_from_slice(&[0, q]),
+            Codec::Png => out.push(1),
+            Codec::RawGray => out.push(2),
+        }
+        self.view_seed.put(out);
+        self.captured_at_nanos.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        let scene_id = u64::get(r)?;
+        let resolution = Resolution {
+            w: u32::get(r)?,
+            h: u32::get(r)?,
+        };
+        let codec = match r.u8()? {
+            0 => Codec::Jpeg(r.u8()?),
+            1 => Codec::Png,
+            2 => Codec::RawGray,
+            _ => return None,
+        };
+        Some(FrameMeta {
+            spec: ImageSpec::new(scene_id, resolution),
+            codec,
+            view_seed: u64::get(r)?,
+            captured_at_nanos: u64::get(r)?,
+        })
+    }
+    fn json_len(&self) -> usize {
+        let res = self.spec.resolution;
+        let resolution = JsonObject::new().field("w", &res.w).field("h", &res.h);
+        let spec = JsonObject::new()
+            .field("scene_id", &self.spec.scene_id)
+            .member("resolution", resolution.finish());
+        let codec = match self.codec {
+            Codec::Jpeg(q) => json_variant("Jpeg", q.json_len()),
+            Codec::Png => "\"Png\"".len(),
+            Codec::RawGray => "\"RawGray\"".len(),
+        };
+        JsonObject::new()
+            .member("spec", spec.finish())
+            .member("codec", codec)
+            .field("view_seed", &self.view_seed)
+            .field("captured_at_nanos", &self.captured_at_nanos)
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acacia_vision::image::Resolution;
 
     fn ip(a: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, a)

@@ -13,7 +13,7 @@ use crate::tft::{PacketFilter, Tft};
 use crate::wire::{ControlMsg, ErabSetup, FlowActionSpec, FlowMatchSpec, PolicyRule};
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 /// MME port map.
@@ -651,6 +651,11 @@ pub struct GwControl {
     topo: GwTopology,
     alloc: Allocator,
     sessions: BTreeMap<Imsi, Session>,
+    /// Session index by UE address (Gx rules name the UE by address).
+    by_ue_addr: HashMap<Ipv4Addr, Imsi>,
+    /// Session index by SGW downlink TEID (downlink-data notifications
+    /// name the session by tunnel).
+    by_dl_teid: HashMap<Teid, Imsi>,
     next_ue_host: u32,
     log: MsgLog,
     /// Dedicated bearers activated.
@@ -677,6 +682,8 @@ impl GwControl {
             topo,
             alloc: Allocator::new(),
             sessions: BTreeMap::new(),
+            by_ue_addr: HashMap::new(),
+            by_dl_teid: HashMap::new(),
             next_ue_host: 1,
             log,
             dedicated_active: 0,
@@ -722,6 +729,45 @@ impl GwControl {
     fn send(&mut self, ctx: &mut Ctx<'_>, port: PortId, dst: Ipv4Addr, msg: ControlMsg) {
         self.log.record(ctx.now(), &msg);
         ctx.send(port, msg.into_packet(self.addr, dst));
+    }
+
+    /// Add (or replace) a session, keeping the indexes in step.
+    fn insert_session(&mut self, imsi: Imsi, session: Session) {
+        if let Some(old) = self.sessions.get(&imsi) {
+            self.by_ue_addr.remove(&old.ue_addr);
+            self.by_dl_teid.remove(&old.teid_sgw_dl);
+        }
+        self.by_ue_addr.insert(session.ue_addr, imsi);
+        self.by_dl_teid.insert(session.teid_sgw_dl, imsi);
+        self.sessions.insert(imsi, session);
+    }
+
+    /// The session whose UE has address `addr`.
+    fn session_by_ue_addr(&self, addr: Ipv4Addr) -> Option<Imsi> {
+        let hit = self.by_ue_addr.get(&addr).copied();
+        debug_assert_eq!(
+            hit,
+            self.sessions
+                .iter()
+                .find(|(_, s)| s.ue_addr == addr)
+                .map(|(&imsi, _)| imsi),
+            "UE-address index disagrees with the session table"
+        );
+        hit
+    }
+
+    /// The session whose SGW downlink tunnel is `teid`.
+    fn session_by_dl_teid(&self, teid: Teid) -> Option<Imsi> {
+        let hit = self.by_dl_teid.get(&teid).copied();
+        debug_assert_eq!(
+            hit,
+            self.sessions
+                .iter()
+                .find(|(_, s)| s.teid_sgw_dl == teid)
+                .map(|(&imsi, _)| imsi),
+            "downlink-TEID index disagrees with the session table"
+        );
+        hit
     }
 
     fn flowmod(
@@ -893,7 +939,7 @@ impl GwControl {
                     gw_addr: topo.sgw_u,
                     tft: Tft::new(),
                 };
-                self.sessions.insert(imsi, session);
+                self.insert_session(imsi, session);
                 self.send(
                     ctx,
                     gwc_port::MME,
@@ -933,8 +979,7 @@ impl GwControl {
             }
             // SGW-U saw downlink data for a released session → page.
             DownlinkDataByTeid { teid } => {
-                let Some((&imsi, _)) = self.sessions.iter().find(|(_, s)| s.teid_sgw_dl == teid)
-                else {
+                let Some(imsi) = self.session_by_dl_teid(teid) else {
                     return;
                 };
                 self.send(
@@ -946,11 +991,7 @@ impl GwControl {
             }
             // PCEF side: a policy rule arrives from the PCRF.
             GxReauthRequest { rule } => {
-                let Some((&imsi, _)) = self
-                    .sessions
-                    .iter()
-                    .find(|(_, s)| s.ue_addr == rule.ue_addr)
-                else {
+                let Some(imsi) = self.session_by_ue_addr(rule.ue_addr) else {
                     let sid = rule.service_id;
                     self.send(
                         ctx,

@@ -9,10 +9,11 @@
 
 use crate::ids::Ebi;
 use crate::wire::ControlMsg;
+use acacia_simnet::codec::Wire;
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, PortId};
 use acacia_simnet::time::{serialization_time, Duration, Instant};
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -21,7 +22,7 @@ pub const RADIO_PROTO: u8 = 201;
 
 /// Frame-type discriminators.
 const FRAME_DATA: u8 = 1;
-const FRAME_RRC: u8 = 2;
+pub(crate) const FRAME_RRC: u8 = 2;
 
 /// Decoded radio frame content.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,12 +63,12 @@ pub fn data_frame(ebi: Ebi, inner: &Packet, from: Ipv4Addr, to: Ipv4Addr) -> Pac
     }
 }
 
-/// Build an RRC control frame.
+/// Build an RRC control frame, sized like [`ControlMsg::into_packet`]:
+/// the calibrated spec or, above it, the natural size.
 pub fn rrc_frame(msg: &ControlMsg, from: Ipv4Addr, to: Ipv4Addr) -> Packet {
-    let body = serde_json::to_vec(msg).expect("rrc message serializes");
-    let mut b = BytesMut::with_capacity(1 + body.len());
-    b.put_u8(FRAME_RRC);
-    b.put_slice(&body);
+    let mut body = Vec::with_capacity(64);
+    body.push(FRAME_RRC);
+    msg.put(&mut body);
     let mut pkt = Packet {
         src: from,
         dst: to,
@@ -75,16 +76,12 @@ pub fn rrc_frame(msg: &ControlMsg, from: Ipv4Addr, to: Ipv4Addr) -> Packet {
         dst_port: 0,
         protocol: RADIO_PROTO,
         tos: 255, // control frames get top scheduling priority
-        payload: b.freeze(),
+        payload: Bytes::from(body),
         app_len: 0,
         id: 0,
         created: Instant::ZERO,
     };
-    let spec = msg.wire_size_spec();
-    let bare = pkt.wire_size();
-    if bare < spec {
-        pkt.app_len = spec - bare;
-    }
+    pkt.app_len = msg.padding(pkt.wire_size(), pkt.payload.len() - 1);
     pkt
 }
 
@@ -102,10 +99,7 @@ pub fn parse_frame(pkt: &Packet) -> Option<RadioPayload> {
             let inner = crate::gtpu::deserialize_inner(&pkt.payload.slice(2..), pkt.created)?;
             Some(RadioPayload::Data { ebi, inner })
         }
-        FRAME_RRC => {
-            let msg = serde_json::from_slice(&pkt.payload[1..]).ok()?;
-            Some(RadioPayload::Rrc(msg))
-        }
+        FRAME_RRC => ControlMsg::decode(&pkt.payload[1..]).map(RadioPayload::Rrc),
         _ => None,
     }
 }

@@ -15,7 +15,7 @@ use crate::wire::{ControlMsg, FlowActionSpec, FlowMatchSpec};
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId};
 use acacia_simnet::time::{Duration, Instant};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
 /// An installed flow rule.
@@ -99,12 +99,21 @@ fn cache_key(pkt: &Packet) -> CacheKey {
     }
 }
 
+/// What a rule lookup matches on: the tunnel id and the effective
+/// (inner, for tunnelled packets) source and destination.
+type MatchKey = (Option<Teid>, Ipv4Addr, Ipv4Addr);
+
 /// A GW-U node: receives OpenFlow messages on [`FlowSwitch::CONTROL_PORT`]
 /// and user traffic on any other port.
 pub struct FlowSwitch {
     /// This switch's tunnel-endpoint address.
     pub addr: Ipv4Addr,
     rules: Vec<FlowRule>,
+    /// The priority scan's outcome per [`MatchKey`] (winning rule index,
+    /// or `None`), so a flow scans the table once per table version. Host
+    /// time only: the modelled slow/fast-path costs come from `cache`.
+    /// Cleared wherever `rules` changes.
+    memo: HashMap<MatchKey, Option<usize>>,
     costs: SwitchCosts,
     cache: HashSet<CacheKey>,
     busy_until: Instant,
@@ -138,6 +147,7 @@ impl FlowSwitch {
         FlowSwitch {
             addr,
             rules: Vec::new(),
+            memo: HashMap::new(),
             costs,
             cache: HashSet::new(),
             busy_until: Instant::ZERO,
@@ -169,12 +179,14 @@ impl FlowSwitch {
         });
         self.rules.sort_by_key(|r| std::cmp::Reverse(r.priority));
         self.cache.clear();
+        self.memo.clear();
     }
 
     /// Remove rules matching the spec exactly.
     pub fn remove(&mut self, mtch: &FlowMatchSpec) {
         self.rules.retain(|r| &r.mtch != mtch);
         self.cache.clear();
+        self.memo.clear();
     }
 
     /// Number of installed rules.
@@ -215,10 +227,12 @@ impl FlowSwitch {
             Some((s, d)) => (gtpu::peek_teid(pkt), s, d),
             None => (None, pkt.src, pkt.dst),
         };
-        let idx = self
-            .rules
-            .iter()
-            .position(|r| Self::matches(&r.mtch, teid, esrc, edst))?;
+        let rules = &self.rules;
+        let idx = (*self.memo.entry((teid, esrc, edst)).or_insert_with(|| {
+            rules
+                .iter()
+                .position(|r| Self::matches(&r.mtch, teid, esrc, edst))
+        }))?;
         self.rules[idx].hits += 1;
         Some(idx)
     }
@@ -355,6 +369,7 @@ impl Node for FlowSwitch {
         // them (the failover ladder's rebind path). Everything volatile
         // goes: rules, the kernel cache, queued work, paging buffers.
         self.rules.clear();
+        self.memo.clear();
         self.cache.clear();
         self.pending.clear();
         self.page_buffer.clear();
@@ -551,6 +566,68 @@ mod tests {
         );
         // Highest priority first in the table.
         assert_eq!(sw.rules[0].priority, 100);
+    }
+
+    /// The memo answers every lookup exactly as a fresh priority scan of
+    /// a reference table would, through installs and removes, and
+    /// credits the same rules with the same hits.
+    #[test]
+    fn memoized_lookup_matches_linear_scan() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let mut sw = FlowSwitch::new(ip(100), SwitchCosts::ideal());
+        let mut reference: Vec<FlowRule> = Vec::new();
+        let pick = |rng: &mut rand_chacha::ChaCha8Rng| {
+            let teid = [None, Some(Teid(1)), Some(Teid(2))][rng.gen_range(0..3)];
+            let src = [None, Some(ip(1)), Some(ip(2))][rng.gen_range(0..3)];
+            let dst = [None, Some(ip(5)), Some(ip(6))][rng.gen_range(0..3)];
+            FlowMatchSpec { teid, dst, src }
+        };
+        for step in 0..3_000 {
+            match rng.gen_range(0..10) {
+                0 => {
+                    let (priority, mtch) = (rng.gen_range(0..4) * 10, pick(&mut rng));
+                    let actions = vec![FlowActionSpec::Output { port: step }];
+                    sw.install(priority, mtch.clone(), actions.clone());
+                    reference.push(FlowRule {
+                        priority,
+                        mtch,
+                        actions,
+                        hits: 0,
+                    });
+                    reference.sort_by_key(|r| std::cmp::Reverse(r.priority));
+                }
+                1 => {
+                    let mtch = pick(&mut rng);
+                    sw.remove(&mtch);
+                    reference.retain(|r| r.mtch != mtch);
+                }
+                _ => {
+                    let (src, dst) = (
+                        [ip(1), ip(2), ip(3)][rng.gen_range(0..3)],
+                        [ip(5), ip(6)][rng.gen_range(0..2)],
+                    );
+                    let user = Packet::udp((src, 1), (dst, 2), 10);
+                    let pkt = match rng.gen_range(0..3) {
+                        0 => user,
+                        t => gtpu::encapsulate(&user, Teid(t), ip(50), ip(100)),
+                    };
+                    let teid = gtpu::peek_teid(&pkt);
+                    let want = reference
+                        .iter()
+                        .position(|r| FlowSwitch::matches(&r.mtch, teid, src, dst));
+                    if let Some(i) = want {
+                        reference[i].hits += 1;
+                    }
+                    assert_eq!(sw.lookup(&pkt), want, "step {step}");
+                }
+            }
+            let hits: Vec<(u16, u64)> = sw.rules.iter().map(|r| (r.priority, r.hits)).collect();
+            let want: Vec<(u16, u64)> = reference.iter().map(|r| (r.priority, r.hits)).collect();
+            assert_eq!(hits, want, "step {step}");
+        }
+        sw.on_restart();
+        assert!(sw.memo.is_empty());
     }
 
     #[test]

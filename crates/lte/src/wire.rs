@@ -1,19 +1,25 @@
 //! Control-plane wire formats: S1AP-over-SCTP, GTPv2-C, Diameter and
 //! OpenFlow messages, with byte-accurate on-the-wire sizes.
 //!
-//! Message *contents* are encoded with a compact self-describing payload
-//! (decodable by any receiving node); message *sizes* are fixed by a
-//! per-message wire-size table calibrated to the paper's testbed
+//! Message *contents* travel in the binary layout of
+//! [`acacia_simnet::codec`] (a 1-byte tag per message kind, then its
+//! fields), decodable by any receiving node. Message *sizes* are fixed by
+//! a per-message wire-size table calibrated to the paper's testbed
 //! measurement (§4): one idle-release + re-establishment sequence costs
 //! exactly **15 messages / 2914 bytes — SCTP 7 (1138), GTPv2 4 (352),
-//! OpenFlow 4 (1424)**. Encoders pad (via the packet's virtual length) up
-//! to the calibrated size, so byte accounting matches the OpenEPC testbed
-//! while the payloads remain fully functional.
+//! OpenFlow 4 (1424)**. A packet's size is the larger of that spec and the
+//! message's natural size, header plus [`ControlMsg::json_len`] (the
+//! compact-JSON length the model was calibrated with); encoders pad the
+//! packet's virtual length up to it, so byte accounting matches the
+//! OpenEPC testbed while the payloads remain fully functional.
 
 use crate::ids::{Ebi, Imsi, Teid};
 use crate::qci::Qci;
-use crate::tft::Tft;
+use crate::tft::{Direction, PacketFilter, Tft};
+use acacia_simnet::codec::{self, json_variant, JsonObject, Reader, Wire};
+use acacia_simnet::fault::PacketClass;
 use acacia_simnet::packet::{proto, Packet};
+use acacia_simnet::{wire_enum, wire_newtype, wire_struct};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -66,7 +72,7 @@ impl Protocol {
 }
 
 /// E-RAB parameters carried in setup messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ErabSetup {
     /// Bearer id.
     pub ebi: Ebi,
@@ -83,7 +89,7 @@ pub struct ErabSetup {
 /// A PCC rule passed from PCRF to the PCEF (paper step 2: "The PCRF
 /// dynamically generates policy rules, which consist of service ID, QCI,
 /// and flow information").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PolicyRule {
     /// Application/service identifier.
     pub service_id: u32,
@@ -100,23 +106,23 @@ pub struct PolicyRule {
 }
 
 /// Flow-match specification for OpenFlow rules on the GW-Us.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlowMatchSpec {
     /// Match on the GTP tunnel id of encapsulated traffic.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub teid: Option<Teid>,
     /// Match on the inner/outer destination address.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dst: Option<Ipv4Addr>,
     /// Match on the inner/outer source address.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub src: Option<Ipv4Addr>,
 }
 
 /// Actions attached to an OpenFlow rule. Encap/decap transform the packet
 /// in place (OVS logical-port style); `Output` is terminal. An action list
 /// with no `Output` drops the packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FlowActionSpec {
     /// GTP-encapsulate toward `(peer, teid)`.
     GtpEncap {
@@ -141,7 +147,7 @@ pub enum FlowActionSpec {
 }
 
 /// All control-plane messages exchanged in the reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ControlMsg {
     // ---- S1AP (eNB <-> MME), over SCTP ----
     /// Initial UE message carrying a NAS Attach Request.
@@ -252,7 +258,7 @@ pub enum ControlMsg {
         /// Procedure transaction id: retransmissions reuse it, so the MME
         /// can answer duplicates from its ack cache instead of switching
         /// the path twice.
-        #[serde(rename = "tx", default)]
+        #[serde(rename = "tx")]
         txid: u32,
     },
     /// MME → target eNB: path switch complete; carries any updated uplink
@@ -278,7 +284,7 @@ pub enum ControlMsg {
         bearers: Vec<ErabSetup>,
         /// Procedure transaction id: a retransmitted request carries the
         /// same id and is re-acked with the already-admitted TEIDs.
-        #[serde(rename = "tx", default)]
+        #[serde(rename = "tx")]
         txid: u32,
     },
     /// Target eNB → source eNB: handover admitted; the returned TEIDs
@@ -291,7 +297,7 @@ pub enum ControlMsg {
         erabs: Vec<(Ebi, Teid)>,
         /// Echo of the request's transaction id — lets the source discard
         /// acks of an attempt it has already cancelled.
-        #[serde(rename = "tx", default)]
+        #[serde(rename = "tx")]
         txid: u32,
     },
     /// Source eNB → target eNB: abandon a prepared handover (the source's
@@ -302,7 +308,7 @@ pub enum ControlMsg {
         /// Subscriber.
         imsi: Imsi,
         /// Transaction id of the abandoned preparation.
-        #[serde(rename = "tx", default)]
+        #[serde(rename = "tx")]
         txid: u32,
     },
     /// Source eNB → target eNB: PDCP sequence-number status at the moment
@@ -810,18 +816,16 @@ impl ControlMsg {
         }
     }
 
+    /// Byte length of this message as compact JSON: the payload length
+    /// its calibrated wire size assumes.
+    pub fn json_len(&self) -> usize {
+        Wire::json_len(self)
+    }
+
     /// Encode into a packet from `src` to `dst`, with transport chosen by
     /// protocol family and wire size padded to [`Self::wire_size_spec`].
     pub fn into_packet(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Packet {
-        let body = serde_json::to_vec(self).expect("control message serializes");
-        let (protocol, port) = match self.protocol() {
-            Protocol::S1apSctp => (proto::SCTP, ports::S1AP),
-            Protocol::X2Sctp => (proto::SCTP, ports::X2AP),
-            Protocol::Gtpv2 => (proto::UDP, ports::GTPC),
-            Protocol::OpenFlow => (proto::TCP, ports::OPENFLOW),
-            Protocol::Diameter => (proto::TCP, ports::DIAMETER),
-            Protocol::Rrc => (proto::UDP, ports::S1AP + 1),
-        };
+        let (protocol, port) = self.transport();
         let mut pkt = Packet {
             src,
             dst,
@@ -829,23 +833,40 @@ impl ControlMsg {
             dst_port: port,
             protocol,
             tos: 0,
-            payload: Bytes::from(body),
+            payload: Bytes::from(codec::encode(self)),
             app_len: 0,
             id: 0,
             created: acacia_simnet::time::Instant::ZERO,
         };
-        let bare = pkt.wire_size();
-        let spec = self.wire_size_spec();
-        // Pad up to the calibrated size; unusually information-dense
-        // messages (e.g. a TFT with many filters) legitimately exceed it
-        // and go out at their natural size.
-        pkt.app_len = spec.saturating_sub(bare);
+        pkt.app_len = self.padding(pkt.wire_size(), pkt.payload.len());
         pkt
+    }
+
+    /// Virtual bytes that bring a packet of `bare` wire bytes, `body` of
+    /// them this message's encoding, to its modelled size: the calibrated
+    /// spec, or the natural size (header plus [`Self::json_len`]) for
+    /// unusually information-dense messages (e.g. a TFT with many
+    /// filters) that exceed it.
+    pub(crate) fn padding(&self, bare: u32, body: usize) -> u32 {
+        let natural = bare - body as u32 + self.json_len() as u32;
+        self.wire_size_spec().max(natural) - bare
+    }
+
+    /// IP protocol and port of the message's family.
+    fn transport(&self) -> (u8, u16) {
+        match self.protocol() {
+            Protocol::S1apSctp => (proto::SCTP, ports::S1AP),
+            Protocol::X2Sctp => (proto::SCTP, ports::X2AP),
+            Protocol::Gtpv2 => (proto::UDP, ports::GTPC),
+            Protocol::OpenFlow => (proto::TCP, ports::OPENFLOW),
+            Protocol::Diameter => (proto::TCP, ports::DIAMETER),
+            Protocol::Rrc => (proto::UDP, ports::S1AP + 1),
+        }
     }
 
     /// Decode a control message from a packet payload.
     pub fn decode(payload: &[u8]) -> Option<ControlMsg> {
-        serde_json::from_slice(payload).ok()
+        codec::decode(payload)
     }
 
     /// Decode from a packet.
@@ -853,6 +874,197 @@ impl ControlMsg {
         Self::decode(&pkt.payload)
     }
 }
+
+/// The fault-injection class of every packet carrying a message of
+/// `kind`'s variant (its fields are ignored): the family's protocol and
+/// port, and the variant's tag byte at its framing offset — byte 0 of a
+/// core message, byte 1 of an RRC radio frame.
+pub fn fault_class(kind: &ControlMsg) -> PacketClass {
+    let tag = codec::encode(kind)[0];
+    match kind.protocol() {
+        Protocol::Rrc => PacketClass::protocol(crate::radio::RADIO_PROTO)
+            .with_payload_prefix(&[crate::radio::FRAME_RRC, tag]),
+        _ => {
+            let (protocol, port) = kind.transport();
+            PacketClass::protocol(protocol)
+                .with_dst_port(port)
+                .with_payload_prefix(&[tag])
+        }
+    }
+}
+
+// ---- Binary layout ----
+//
+// Tags number the variants in declaration order; fields follow in
+// declaration order. The `as` names are the JSON keys and variant tags
+// the calibrated sizes were measured with.
+
+wire_newtype!(Imsi, Ebi, Teid, Qci);
+
+wire_struct!(ErabSetup {
+    ebi,
+    qci,
+    gw_teid,
+    gw_addr,
+    tft
+});
+
+wire_struct!(PolicyRule {
+    service_id,
+    ue_addr,
+    server_addr,
+    server_port,
+    qci,
+    install
+});
+
+wire_struct!(FlowMatchSpec {
+    teid if some,
+    dst if some,
+    src if some
+});
+
+wire_struct!(Tft { filters as "f" });
+
+wire_struct!(PacketFilter {
+    precedence as "p",
+    direction as "d",
+    remote_addr as "a" if some,
+    remote_port as "r" if some,
+    protocol as "x" if some
+});
+
+impl Wire for Direction {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            Direction::Uplink => 0,
+            Direction::Downlink => 1,
+            Direction::Bidirectional => 2,
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => Direction::Uplink,
+            1 => Direction::Downlink,
+            2 => Direction::Bidirectional,
+            _ => return None,
+        })
+    }
+    fn json_len(&self) -> usize {
+        3 // "U", "D" or "B"
+    }
+}
+
+impl Wire for FlowActionSpec {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            FlowActionSpec::GtpEncap { peer, teid } => {
+                out.push(0);
+                peer.put(out);
+                teid.put(out);
+            }
+            FlowActionSpec::GtpDecap => out.push(1),
+            FlowActionSpec::SetTos { tos } => {
+                out.push(2);
+                tos.put(out);
+            }
+            FlowActionSpec::Output { port } => {
+                out.push(3);
+                port.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => FlowActionSpec::GtpEncap {
+                peer: Wire::get(r)?,
+                teid: Wire::get(r)?,
+            },
+            1 => FlowActionSpec::GtpDecap,
+            2 => FlowActionSpec::SetTos { tos: r.u8()? },
+            3 => FlowActionSpec::Output {
+                port: Wire::get(r)?,
+            },
+            _ => return None,
+        })
+    }
+    fn json_len(&self) -> usize {
+        let o = JsonObject::new();
+        match self {
+            FlowActionSpec::GtpEncap { peer, teid } => json_variant(
+                "GtpEncap",
+                o.field("peer", peer).field("teid", teid).finish(),
+            ),
+            FlowActionSpec::GtpDecap => "\"GtpDecap\"".len(),
+            FlowActionSpec::SetTos { tos } => json_variant("SetTos", o.field("tos", tos).finish()),
+            FlowActionSpec::Output { port } => {
+                json_variant("Output", o.field("port", port).finish())
+            }
+        }
+    }
+}
+
+wire_enum!(ControlMsg {
+    0 InitialUeAttach as "IUA" { imsi },
+    1 InitialUeServiceRequest as "IUS" { imsi },
+    2 InitialContextSetupRequest as "ICSq" { imsi, erabs },
+    3 InitialContextSetupResponse as "ICSp" { imsi, enb_teids },
+    4 DownlinkNasAccept as "DNA" { imsi, ue_addr },
+    5 ErabSetupRequest as "ESq" { imsi, erab },
+    6 ErabSetupResponse as "ESp" { imsi, ebi, enb_teid },
+    7 ErabReleaseCommand as "ERC" { imsi, ebi },
+    8 ErabReleaseResponse as "ERR" { imsi, ebi },
+    9 UeContextReleaseRequest as "UCRq" { imsi },
+    10 UeContextReleaseCommand as "UCRc" { imsi },
+    11 UeContextReleaseComplete as "UCRd" { imsi },
+    12 Paging as "PAG" { imsi },
+    13 PathSwitchRequest as "PSq" { imsi, enb_addr, erabs, txid as "tx" },
+    14 PathSwitchRequestAck as "PSa" { imsi, erabs },
+    15 X2HandoverRequest as "HOq" { imsi, ue_addr, bearers, txid as "tx" },
+    16 X2HandoverRequestAck as "HOa" { imsi, erabs, txid as "tx" },
+    17 X2HandoverCancel as "HOc" { imsi, txid as "tx" },
+    18 X2SnStatusTransfer as "SNS" { imsi, dl_count, ul_count },
+    19 X2UeContextRelease as "XUR" { imsi },
+    20 CreateSessionRequest as "CSq" { imsi },
+    21 CreateSessionResponse as "CSp" { imsi, ue_addr, erab },
+    22 CreateBearerRequest as "CBq" { imsi, erab },
+    23 CreateBearerResponse as "CBp" { imsi, ebi, enb_teid, enb_addr },
+    24 DeleteBearerRequest as "DBq" { imsi, ebi },
+    25 DeleteBearerResponse as "DBp" { imsi, ebi },
+    26 DeleteBearerCommand as "DBc" { imsi },
+    27 GwuFailureIndication as "GWUF" { gwu_addr },
+    28 ReleaseAccessBearersRequest as "RABq" { imsi },
+    29 ReleaseAccessBearersResponse as "RABp" { imsi },
+    30 ModifyBearerRequest as "MBq" { imsi, enb_teid, enb_addr },
+    31 ModifyBearerResponse as "MBp" { imsi },
+    32 DownlinkDataByTeid as "DDNt" { teid },
+    33 DownlinkDataNotification as "DDN" { imsi },
+    34 BearerRelocationRequest as "BRq" { imsi, enb_addr, enb_teids },
+    35 BearerRelocationResponse as "BRp" { imsi, erabs, released },
+    36 RxAuthRequest as "RxQ" { rule },
+    37 RxAuthAnswer as "RxA" { service_id, ok },
+    38 GxReauthRequest as "GxQ" { rule },
+    39 GxReauthAnswer as "GxA" { service_id, ok },
+    40 S6aAuthInfoRequest as "AIR" { imsi },
+    41 S6aAuthInfoAnswer as "AIA" { imsi, ok },
+    42 FlowMod as "FM" { add, priority, mtch, actions },
+    43 RrcAttachRequest as "RAq" { imsi },
+    44 RrcServiceRequest as "RSq" { imsi },
+    45 RrcReconfiguration as "RRc" { ebi, qci, tft, ue_addr },
+    46 RrcRelease as "RRl" { imsi },
+    47 RrcBearerRelease as "RBR" { ebi },
+    48 RrcPaging as "RPG" { imsi },
+    49 RrcMeasurementReport as "RMR" {
+        imsi,
+        serving_rsrp_cdbm,
+        target_radio,
+        target_rsrp_cdbm
+    },
+    50 RrcHandoverCommand as "RHC" { imsi, target_radio },
+    51 RrcHandoverConfirm as "RHF" { imsi },
+    52 RrcReestablishmentRequest as "REq" { imsi },
+    53 RrcReestablishmentConfirm as "REc" { imsi },
+});
 
 #[cfg(test)]
 mod tests {
@@ -993,7 +1205,136 @@ mod tests {
             RrcHandoverConfirm { imsi: imsi() },
             RrcReestablishmentRequest { imsi: imsi() },
             RrcReestablishmentConfirm { imsi: imsi() },
+            ErabReleaseCommand {
+                imsi: imsi(),
+                ebi: Ebi(6),
+            },
+            ErabReleaseResponse {
+                imsi: imsi(),
+                ebi: Ebi(6),
+            },
+            Paging { imsi: imsi() },
+            CreateSessionResponse {
+                imsi: imsi(),
+                ue_addr: Ipv4Addr::new(10, 10, 0, 1),
+                erab: erab.clone(),
+            },
+            CreateBearerResponse {
+                imsi: imsi(),
+                ebi: Ebi(6),
+                enb_teid: Teid(0x3002),
+                enb_addr: Ipv4Addr::new(10, 1, 0, 1),
+            },
+            DeleteBearerRequest {
+                imsi: imsi(),
+                ebi: Ebi(6),
+            },
+            DeleteBearerResponse {
+                imsi: imsi(),
+                ebi: Ebi(6),
+            },
+            DeleteBearerCommand { imsi: imsi() },
+            GwuFailureIndication {
+                gwu_addr: Ipv4Addr::new(10, 2, 1, 1),
+            },
+            DownlinkDataByTeid { teid: Teid(0x2002) },
+            DownlinkDataNotification { imsi: imsi() },
+            RxAuthAnswer {
+                service_id: 7,
+                ok: true,
+            },
+            GxReauthRequest {
+                rule: PolicyRule {
+                    service_id: 7,
+                    ue_addr: Ipv4Addr::new(10, 10, 0, 1),
+                    server_addr: Ipv4Addr::new(10, 4, 0, 1),
+                    server_port: 9000,
+                    qci: Qci(7),
+                    install: false,
+                },
+            },
+            GxReauthAnswer {
+                service_id: 7,
+                ok: false,
+            },
+            S6aAuthInfoRequest { imsi: imsi() },
+            S6aAuthInfoAnswer {
+                imsi: imsi(),
+                ok: true,
+            },
+            FlowMod {
+                add: false,
+                priority: 100,
+                mtch: FlowMatchSpec {
+                    teid: None,
+                    dst: Some(Ipv4Addr::new(10, 10, 0, 1)),
+                    src: Some(Ipv4Addr::new(10, 4, 0, 1)),
+                },
+                actions: vec![],
+            },
+            RrcAttachRequest { imsi: imsi() },
+            RrcServiceRequest { imsi: imsi() },
+            RrcRelease { imsi: imsi() },
+            RrcBearerRelease { ebi: Ebi(6) },
+            RrcPaging { imsi: imsi() },
         ]
+    }
+
+    /// How a message travels: RRC in a radio frame, the rest in a
+    /// control packet.
+    fn as_sent(msg: &ControlMsg) -> Packet {
+        let (a, b) = (Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(10, 3, 0, 1));
+        match msg.protocol() {
+            Protocol::Rrc => crate::radio::rrc_frame(msg, a, b),
+            _ => msg.into_packet(a, b),
+        }
+    }
+
+    #[test]
+    fn samples_cover_every_kind() {
+        let tags: std::collections::BTreeSet<u8> = sample_messages()
+            .iter()
+            .map(|m| codec::encode(m)[0])
+            .collect();
+        assert_eq!(tags, (0..=53).collect());
+    }
+
+    #[test]
+    fn fault_class_matches_exactly_its_kind() {
+        let samples = sample_messages();
+        let packets: Vec<Packet> = samples.iter().map(as_sent).collect();
+        for kind in &samples {
+            let class = fault_class(kind);
+            for (msg, pkt) in samples.iter().zip(&packets) {
+                let same = codec::encode(kind)[0] == codec::encode(msg)[0];
+                assert_eq!(
+                    class.matches(pkt),
+                    same,
+                    "class of {} on {}",
+                    kind.name(),
+                    msg.name()
+                );
+            }
+        }
+        // Data sharing a control message's links never matches: a radio
+        // data frame whose bearer id equals an RRC tag, a GTP-U packet.
+        let rhc = ControlMsg::RrcHandoverCommand {
+            imsi: imsi(),
+            target_radio: Ipv4Addr::new(192, 168, 0, 2),
+        };
+        let tag = codec::encode(&rhc)[0];
+        let user = Packet::udp(
+            (Ipv4Addr::new(10, 10, 0, 1), 1),
+            (Ipv4Addr::new(10, 4, 0, 1), 2),
+            100,
+        );
+        let a = Ipv4Addr::new(10, 1, 0, 1);
+        let data = crate::radio::data_frame(Ebi(tag), &user, a, a);
+        assert!(!fault_class(&rhc).matches(&data));
+        let tunnelled = crate::gtpu::encapsulate(&user, Teid(7), a, a);
+        for kind in &samples {
+            assert!(!fault_class(kind).matches(&tunnelled), "{}", kind.name());
+        }
     }
 
     #[test]
@@ -1006,9 +1347,22 @@ mod tests {
     }
 
     #[test]
+    fn json_len_matches_serde_json() {
+        for msg in sample_messages() {
+            let json = serde_json::to_vec(&msg).unwrap();
+            assert_eq!(
+                msg.json_len(),
+                json.len(),
+                "{}",
+                String::from_utf8_lossy(&json)
+            );
+        }
+    }
+
+    #[test]
     fn wire_sizes_match_spec_exactly() {
         for msg in sample_messages() {
-            let pkt = msg.into_packet(Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(10, 3, 0, 1));
+            let pkt = as_sent(&msg);
             assert_eq!(
                 pkt.wire_size(),
                 msg.wire_size_spec(),

@@ -9,6 +9,7 @@ use acacia_lte::entities::GwControl;
 use acacia_lte::network::{CellConfig, LteConfig, LteNetwork};
 use acacia_lte::prelude::*;
 use acacia_lte::ue::{AppSelector, Ue, UeState};
+use acacia_lte::wire::fault_class;
 use acacia_simnet::fault::{FaultPlan, FaultRule, PacketClass};
 use acacia_simnet::packet::proto;
 use acacia_simnet::sim::NodeId;
@@ -16,6 +17,33 @@ use acacia_simnet::time::Duration;
 use acacia_simnet::traffic::Reflector;
 use acacia_simnet::transport::PingAgent;
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
+
+// Message kinds the targeted drops aim at; only the variant matters.
+fn path_switch_request() -> ControlMsg {
+    ControlMsg::PathSwitchRequest {
+        imsi: Imsi(0),
+        enb_addr: Ipv4Addr::UNSPECIFIED,
+        erabs: vec![],
+        txid: 0,
+    }
+}
+
+fn x2_handover_request() -> ControlMsg {
+    ControlMsg::X2HandoverRequest {
+        imsi: Imsi(0),
+        ue_addr: None,
+        bearers: vec![],
+        txid: 0,
+    }
+}
+
+fn rrc_handover_command() -> ControlMsg {
+    ControlMsg::RrcHandoverCommand {
+        imsi: Imsi(0),
+        target_radio: Ipv4Addr::UNSPECIFIED,
+    }
+}
 
 fn two_mec_cells(core_detour: bool) -> LteConfig {
     LteConfig {
@@ -107,7 +135,7 @@ fn assert_no_wedge(net: &LteNetwork) {
 fn nth_path_switch_drop_is_retransmitted() {
     let (net, agent) = walk_under_faults(two_mec_cells(false), |net| {
         let plan = FaultPlan::new(1)
-            .with_rule(FaultRule::drop(PacketClass::any().with_payload_tag("PSq"), 1.0).on_nth(1));
+            .with_rule(FaultRule::drop(fault_class(&path_switch_request()), 1.0).on_nth(1));
         net.sim.attach_fault_plan(net.s1ap_uplink(1), plan);
     });
     let target = net.sim.node_ref::<Enb>(net.enbs[1]);
@@ -129,10 +157,8 @@ fn nth_path_switch_drop_is_retransmitted() {
 #[test]
 fn path_switch_exhaustion_falls_back_to_core_detour() {
     let (net, agent) = walk_under_faults(two_mec_cells(true), |net| {
-        let plan = FaultPlan::new(1).with_rule(FaultRule::drop(
-            PacketClass::any().with_payload_tag("PSq"),
-            1.0,
-        ));
+        let plan =
+            FaultPlan::new(1).with_rule(FaultRule::drop(fault_class(&path_switch_request()), 1.0));
         net.sim.attach_fault_plan(net.s1ap_uplink(1), plan);
     });
     let target = net.sim.node_ref::<Enb>(net.enbs[1]);
@@ -173,7 +199,7 @@ fn path_switch_exhaustion_falls_back_to_core_detour() {
 fn nth_handover_request_drop_is_retransmitted() {
     let (net, _) = walk_under_faults(two_mec_cells(false), |net| {
         let plan = FaultPlan::new(1)
-            .with_rule(FaultRule::drop(PacketClass::any().with_payload_tag("HOq"), 1.0).on_nth(1));
+            .with_rule(FaultRule::drop(fault_class(&x2_handover_request()), 1.0).on_nth(1));
         net.sim.attach_fault_plan(net.x2_link(0, 1), plan);
     });
     assert_eq!(net.sim.node_ref::<Enb>(net.enbs[0]).ho_retx, 1);
@@ -187,10 +213,8 @@ fn nth_handover_request_drop_is_retransmitted() {
 #[test]
 fn handover_preparation_exhaustion_cancels() {
     let (net, agent) = walk_under_faults(two_mec_cells(false), |net| {
-        let plan = FaultPlan::new(1).with_rule(FaultRule::drop(
-            PacketClass::any().with_payload_tag("HOq"),
-            1.0,
-        ));
+        let plan =
+            FaultPlan::new(1).with_rule(FaultRule::drop(fault_class(&x2_handover_request()), 1.0));
         net.sim.attach_fault_plan(net.x2_link(0, 1), plan);
     });
     let source = net.sim.node_ref::<Enb>(net.enbs[0]);
@@ -213,7 +237,7 @@ fn handover_preparation_exhaustion_cancels() {
 fn lost_handover_command_recovers_via_reestablishment() {
     let (net, agent) = walk_under_faults(two_mec_cells(false), |net| {
         let plan = FaultPlan::new(1)
-            .with_rule(FaultRule::drop(PacketClass::any().with_payload_tag("RHC"), 1.0).on_nth(1));
+            .with_rule(FaultRule::drop(fault_class(&rrc_handover_command()), 1.0).on_nth(1));
         net.sim.attach_fault_plan(net.radio_downlink(0, 0), plan);
     });
     let ue = net.sim.node_ref::<Ue>(net.ues[0]);

@@ -1,10 +1,10 @@
 //! Property-based tests for the LTE wire formats, tunnelling and TFTs.
 
-use acacia_lte::gtpu;
 use acacia_lte::ids::{Ebi, Imsi, Teid};
 use acacia_lte::qci::Qci;
 use acacia_lte::tft::{Direction, PacketFilter, Tft};
 use acacia_lte::wire::{ControlMsg, ErabSetup, FlowActionSpec, FlowMatchSpec, PolicyRule};
+use acacia_lte::{gtpu, radio};
 use acacia_simnet::packet::Packet;
 use acacia_simnet::time::Instant;
 use bytes::Bytes;
@@ -12,7 +12,57 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 fn arb_ip() -> BoxedStrategy<Ipv4Addr> {
-    any::<u32>().prop_map(Ipv4Addr::from).boxed()
+    prop_oneof![
+        prop::sample::select(vec![
+            Ipv4Addr::UNSPECIFIED,
+            Ipv4Addr::BROADCAST,
+            Ipv4Addr::new(10, 9, 100, 99),
+        ]),
+        any::<u32>().prop_map(Ipv4Addr::from),
+    ]
+    .boxed()
+}
+
+// Integers biased toward JSON digit-count boundaries, so `json_len` is
+// checked where a value gains or loses a digit.
+fn edgy_u64() -> BoxedStrategy<u64> {
+    prop_oneof![
+        prop::sample::select(vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX]),
+        any::<u64>(),
+    ]
+    .boxed()
+}
+
+fn edgy_u32() -> BoxedStrategy<u32> {
+    prop_oneof![
+        prop::sample::select(vec![0, 9, 10, 99, 100, 65_535, u32::MAX]),
+        any::<u32>(),
+    ]
+    .boxed()
+}
+
+fn edgy_u16() -> BoxedStrategy<u16> {
+    prop_oneof![
+        prop::sample::select(vec![0, 9, 10, 99, 100, u16::MAX]),
+        any::<u16>(),
+    ]
+    .boxed()
+}
+
+fn edgy_u8() -> BoxedStrategy<u8> {
+    prop_oneof![
+        prop::sample::select(vec![0, 9, 10, 99, 100, u8::MAX]),
+        any::<u8>(),
+    ]
+    .boxed()
+}
+
+fn edgy_i32() -> BoxedStrategy<i32> {
+    prop_oneof![
+        prop::sample::select(vec![0, 9, -9, 10, -10, i32::MIN, i32::MAX]),
+        any::<i32>(),
+    ]
+    .boxed()
 }
 
 fn arb_packet() -> BoxedStrategy<Packet> {
@@ -47,15 +97,15 @@ fn arb_packet() -> BoxedStrategy<Packet> {
 fn arb_tft() -> BoxedStrategy<Tft> {
     prop::collection::vec(
         (
-            any::<u8>(),
+            edgy_u8(),
             prop::sample::select(vec![
                 Direction::Uplink,
                 Direction::Downlink,
                 Direction::Bidirectional,
             ]),
             prop::option::of((arb_ip(), 0u8..=32)),
-            prop::option::of((any::<u16>(), any::<u16>())),
-            prop::option::of(prop::sample::select(vec![1u8, 6, 17])),
+            prop::option::of((edgy_u16(), edgy_u16())),
+            prop::option::of(prop::sample::select(vec![1u8, 6, 17, 132])),
         )
             .prop_map(|(precedence, direction, remote_addr, ports, protocol)| {
                 PacketFilter {
@@ -73,8 +123,8 @@ fn arb_tft() -> BoxedStrategy<Tft> {
 }
 
 fn arb_msg() -> BoxedStrategy<ControlMsg> {
-    let imsi = any::<u64>().prop_map(Imsi).boxed();
-    let erab = (any::<u8>(), 1u8..10, any::<u32>(), arb_ip(), arb_tft())
+    let imsi = edgy_u64().prop_map(Imsi).boxed();
+    let erab = (edgy_u8(), edgy_u8(), edgy_u32(), arb_ip(), arb_tft())
         .prop_map(|(ebi, qci, teid, addr, tft)| ErabSetup {
             ebi: Ebi(ebi),
             qci: Qci(qci),
@@ -92,7 +142,7 @@ fn arb_msg() -> BoxedStrategy<ControlMsg> {
             .prop_map(|(i, e)| ControlMsg::ErabSetupRequest { imsi: i, erab: e }),
         (imsi.clone(), prop::collection::vec(erab, 0..2))
             .prop_map(|(i, es)| ControlMsg::InitialContextSetupRequest { imsi: i, erabs: es }),
-        (imsi.clone(), any::<u32>(), arb_ip()).prop_map(|(i, t, a)| {
+        (imsi.clone(), edgy_u32(), arb_ip()).prop_map(|(i, t, a)| {
             ControlMsg::ModifyBearerRequest {
                 imsi: i,
                 enb_teid: Teid(t),
@@ -100,11 +150,11 @@ fn arb_msg() -> BoxedStrategy<ControlMsg> {
             }
         }),
         (
-            any::<u32>(),
+            edgy_u32(),
             arb_ip(),
             arb_ip(),
-            any::<u16>(),
-            1u8..10,
+            edgy_u16(),
+            edgy_u8(),
             any::<bool>()
         )
             .prop_map(
@@ -121,8 +171,8 @@ fn arb_msg() -> BoxedStrategy<ControlMsg> {
             ),
         (
             any::<bool>(),
-            any::<u16>(),
-            prop::option::of(any::<u32>()),
+            edgy_u16(),
+            prop::option::of(edgy_u32()),
             prop::option::of(arb_ip())
         )
             .prop_map(|(add, prio, teid, dst)| ControlMsg::FlowMod {
@@ -142,8 +192,8 @@ fn arb_msg() -> BoxedStrategy<ControlMsg> {
 /// Every `ControlMsg` variant, across all five protocol families — the
 /// full-coverage generator for the encode→decode→encode identities.
 fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
-    let imsi = any::<u64>().prop_map(Imsi).boxed();
-    let erab = (any::<u8>(), 1u8..10, any::<u32>(), arb_ip(), arb_tft())
+    let imsi = edgy_u64().prop_map(Imsi).boxed();
+    let erab = (edgy_u8(), edgy_u8(), edgy_u32(), arb_ip(), arb_tft())
         .prop_map(|(ebi, qci, teid, addr, tft)| ErabSetup {
             ebi: Ebi(ebi),
             qci: Qci(qci),
@@ -153,11 +203,11 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
         })
         .boxed();
     let rule = (
-        any::<u32>(),
+        edgy_u32(),
         arb_ip(),
         arb_ip(),
-        any::<u16>(),
-        1u8..10,
+        edgy_u16(),
+        edgy_u8(),
         any::<bool>(),
     )
         .prop_map(|(sid, ue, srv, port, qci, install)| PolicyRule {
@@ -174,7 +224,7 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
             .prop_map(|i| ControlMsg::InitialUeServiceRequest { imsi: i }),
         (
             imsi.clone(),
-            prop::collection::vec((any::<u8>(), any::<u32>()), 0..3)
+            prop::collection::vec((edgy_u8(), edgy_u32()), 0..3)
         )
             .prop_map(|(i, ts)| ControlMsg::InitialContextSetupResponse {
                 imsi: i,
@@ -186,18 +236,18 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
                 ue_addr: a,
             }
         }),
-        (imsi.clone(), any::<u8>(), any::<u32>()).prop_map(|(i, e, t)| {
+        (imsi.clone(), edgy_u8(), edgy_u32()).prop_map(|(i, e, t)| {
             ControlMsg::ErabSetupResponse {
                 imsi: i,
                 ebi: Ebi(e),
                 enb_teid: Teid(t),
             }
         }),
-        (imsi.clone(), any::<u8>()).prop_map(|(i, e)| ControlMsg::ErabReleaseCommand {
+        (imsi.clone(), edgy_u8()).prop_map(|(i, e)| ControlMsg::ErabReleaseCommand {
             imsi: i,
             ebi: Ebi(e)
         }),
-        (imsi.clone(), any::<u8>()).prop_map(|(i, e)| ControlMsg::ErabReleaseResponse {
+        (imsi.clone(), edgy_u8()).prop_map(|(i, e)| ControlMsg::ErabReleaseResponse {
             imsi: i,
             ebi: Ebi(e)
         }),
@@ -219,7 +269,7 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
         }),
         (imsi.clone(), erab.clone())
             .prop_map(|(i, e)| ControlMsg::CreateBearerRequest { imsi: i, erab: e }),
-        (imsi.clone(), any::<u8>(), any::<u32>(), arb_ip()).prop_map(|(i, e, t, a)| {
+        (imsi.clone(), edgy_u8(), edgy_u32(), arb_ip()).prop_map(|(i, e, t, a)| {
             ControlMsg::CreateBearerResponse {
                 imsi: i,
                 ebi: Ebi(e),
@@ -227,11 +277,11 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
                 enb_addr: a,
             }
         }),
-        (imsi.clone(), any::<u8>()).prop_map(|(i, e)| ControlMsg::DeleteBearerRequest {
+        (imsi.clone(), edgy_u8()).prop_map(|(i, e)| ControlMsg::DeleteBearerRequest {
             imsi: i,
             ebi: Ebi(e)
         }),
-        (imsi.clone(), any::<u8>()).prop_map(|(i, e)| ControlMsg::DeleteBearerResponse {
+        (imsi.clone(), edgy_u8()).prop_map(|(i, e)| ControlMsg::DeleteBearerResponse {
             imsi: i,
             ebi: Ebi(e)
         }),
@@ -241,15 +291,18 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
             .prop_map(|i| ControlMsg::ReleaseAccessBearersResponse { imsi: i }),
         imsi.clone()
             .prop_map(|i| ControlMsg::ModifyBearerResponse { imsi: i }),
-        any::<u32>().prop_map(|t| ControlMsg::DownlinkDataByTeid { teid: Teid(t) }),
+        edgy_u32().prop_map(|t| ControlMsg::DownlinkDataByTeid { teid: Teid(t) }),
+        imsi.clone()
+            .prop_map(|i| ControlMsg::DeleteBearerCommand { imsi: i }),
+        arb_ip().prop_map(|a| ControlMsg::GwuFailureIndication { gwu_addr: a }),
         imsi.clone()
             .prop_map(|i| ControlMsg::DownlinkDataNotification { imsi: i }),
     ];
     let diameter = prop_oneof![
-        (any::<u32>(), any::<bool>())
+        (edgy_u32(), any::<bool>())
             .prop_map(|(s, ok)| ControlMsg::RxAuthAnswer { service_id: s, ok }),
         rule.prop_map(|r| ControlMsg::GxReauthRequest { rule: r }),
-        (any::<u32>(), any::<bool>())
+        (edgy_u32(), any::<bool>())
             .prop_map(|(s, ok)| ControlMsg::GxReauthAnswer { service_id: s, ok }),
         imsi.clone()
             .prop_map(|i| ControlMsg::S6aAuthInfoRequest { imsi: i }),
@@ -261,7 +314,7 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
             .prop_map(|i| ControlMsg::RrcAttachRequest { imsi: i }),
         imsi.clone()
             .prop_map(|i| ControlMsg::RrcServiceRequest { imsi: i }),
-        (any::<u8>(), 1u8..10, arb_tft(), prop::option::of(arb_ip())).prop_map(|(e, q, tft, a)| {
+        (edgy_u8(), edgy_u8(), arb_tft(), prop::option::of(arb_ip())).prop_map(|(e, q, tft, a)| {
             ControlMsg::RrcReconfiguration {
                 ebi: Ebi(e),
                 qci: Qci(q),
@@ -271,12 +324,12 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
         }),
         imsi.clone()
             .prop_map(|i| ControlMsg::RrcRelease { imsi: i }),
-        any::<u8>().prop_map(|e| ControlMsg::RrcBearerRelease { ebi: Ebi(e) }),
+        edgy_u8().prop_map(|e| ControlMsg::RrcBearerRelease { ebi: Ebi(e) }),
         imsi.clone().prop_map(|i| ControlMsg::RrcPaging { imsi: i }),
     ];
     // The mobility/handover additions: X2AP, path switch, bearer
     // relocation and the RRC measurement/handover trio.
-    let erab_teids = prop::collection::vec((any::<u8>(), any::<u32>()), 0..3)
+    let erab_teids = prop::collection::vec((edgy_u8(), edgy_u32()), 0..3)
         .prop_map(|ts| {
             ts.into_iter()
                 .map(|(e, t)| (Ebi(e), Teid(t)))
@@ -284,7 +337,7 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
         })
         .boxed();
     let handover = prop_oneof![
-        (imsi.clone(), arb_ip(), erab_teids.clone(), 0u32..1000).prop_map(|(i, a, ts, tx)| {
+        (imsi.clone(), arb_ip(), erab_teids.clone(), edgy_u32()).prop_map(|(i, a, ts, tx)| {
             ControlMsg::PathSwitchRequest {
                 imsi: i,
                 enb_addr: a,
@@ -298,7 +351,7 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
             imsi.clone(),
             prop::option::of(arb_ip()),
             prop::collection::vec(erab.clone(), 0..2),
-            0u32..1000
+            edgy_u32()
         )
             .prop_map(|(i, a, es, tx)| ControlMsg::X2HandoverRequest {
                 imsi: i,
@@ -306,20 +359,20 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
                 bearers: es,
                 txid: tx,
             }),
-        (imsi.clone(), erab_teids.clone(), 0u32..1000).prop_map(|(i, ts, tx)| {
+        (imsi.clone(), erab_teids.clone(), edgy_u32()).prop_map(|(i, ts, tx)| {
             ControlMsg::X2HandoverRequestAck {
                 imsi: i,
                 erabs: ts,
                 txid: tx,
             }
         }),
-        (imsi.clone(), 0u32..1000)
+        (imsi.clone(), edgy_u32())
             .prop_map(|(i, tx)| ControlMsg::X2HandoverCancel { imsi: i, txid: tx }),
         imsi.clone()
             .prop_map(|i| ControlMsg::RrcReestablishmentRequest { imsi: i }),
         imsi.clone()
             .prop_map(|i| ControlMsg::RrcReestablishmentConfirm { imsi: i }),
-        (imsi.clone(), any::<u32>(), any::<u32>()).prop_map(|(i, dl, ul)| {
+        (imsi.clone(), edgy_u32(), edgy_u32()).prop_map(|(i, dl, ul)| {
             ControlMsg::X2SnStatusTransfer {
                 imsi: i,
                 dl_count: dl,
@@ -338,14 +391,14 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
         (
             imsi.clone(),
             prop::collection::vec(erab, 0..2),
-            prop::collection::vec(any::<u8>().prop_map(Ebi), 0..3)
+            prop::collection::vec(edgy_u8().prop_map(Ebi), 0..3)
         )
             .prop_map(|(i, es, rel)| ControlMsg::BearerRelocationResponse {
                 imsi: i,
                 erabs: es,
                 released: rel,
             }),
-        (imsi.clone(), any::<i32>(), arb_ip(), any::<i32>()).prop_map(|(i, s, a, t)| {
+        (imsi.clone(), edgy_i32(), arb_ip(), edgy_i32()).prop_map(|(i, s, a, t)| {
             ControlMsg::RrcMeasurementReport {
                 imsi: i,
                 serving_rsrp_cdbm: s,
@@ -485,25 +538,97 @@ proptest! {
         prop_assert!(pkt.wire_size() >= msg.wire_size_spec());
     }
 
-    /// Malformed input is rejected, not mis-decoded: any strict prefix of
-    /// an encoded control message fails to decode (the top level is a
-    /// JSON object, so truncation always breaks it), as does trailing
-    /// garbage.
+    /// Malformed input is rejected, not mis-decoded: every strict prefix
+    /// of an encoded control message fails to decode (the layout is
+    /// self-delimiting), as does any trailing byte and any tag past the
+    /// last kind.
     #[test]
-    fn malformed_control_rejected(
-        msg in arb_msg_any(),
-        cut in 0usize..1000,
-        // Non-whitespace garbage: trailing whitespace is legal JSON.
-        junk in prop::sample::select(vec![b'x', b'{', b'}', b'0', 0u8, 0xFFu8]),
-    ) {
+    fn malformed_control_rejected(msg in arb_msg_any(), junk in any::<u8>(), tag in 54u8..=255) {
         let pkt = msg.into_packet(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-        let len = pkt.payload.len();
-        prop_assume!(len > 0);
-        let cut = cut % len; // strict prefix: 0..len-1 bytes
-        prop_assert!(ControlMsg::decode(&pkt.payload[..cut]).is_none());
-        let mut extended = pkt.payload.to_vec();
+        let bytes = pkt.payload.to_vec();
+        for cut in 0..bytes.len() {
+            prop_assert!(ControlMsg::decode(&bytes[..cut]).is_none(), "prefix {} of {:?}", cut, msg);
+        }
+        let mut extended = bytes.clone();
         extended.push(junk);
         prop_assert!(ControlMsg::decode(&extended).is_none());
+        let mut unknown = bytes;
+        unknown[0] = tag;
+        prop_assert!(ControlMsg::decode(&unknown).is_none());
+    }
+
+    /// Field bytes outside their domain are rejected: a bool, an `Option`
+    /// presence byte, a TFT direction and a flow-action tag above their
+    /// range, and a count prefix claiming more items than bytes remain.
+    #[test]
+    fn malformed_fields_rejected(bad in 2u8..=255, action in 4u8..=255, imsi in edgy_u64(), extra in 1u32..=u32::MAX) {
+        let decode = |m: &ControlMsg, at: usize, byte: u8| {
+            let mut b = m.into_packet(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED).payload.to_vec();
+            b[at] = byte;
+            ControlMsg::decode(&b)
+        };
+        let imsi = Imsi(imsi);
+        // tag, imsi (8), ok
+        let aia = ControlMsg::S6aAuthInfoAnswer { imsi, ok: true };
+        prop_assert!(decode(&aia, 9, bad).is_none());
+        // tag, imsi (8), presence
+        let dna = ControlMsg::DownlinkNasAccept { imsi, ue_addr: None };
+        prop_assert!(decode(&dna, 9, bad).is_none());
+        // tag, ebi, qci, filter count (4), precedence, direction
+        let rrc = ControlMsg::RrcReconfiguration {
+            ebi: Ebi(5),
+            qci: Qci(7),
+            tft: Tft::single(PacketFilter::to_host(Ipv4Addr::new(10, 4, 0, 1))),
+            ue_addr: None,
+        };
+        prop_assert!(decode(&rrc, 8, bad.max(3)).is_none());
+        // tag, add, priority (2), three absent match fields, action count (4), action tag
+        let fm = ControlMsg::FlowMod {
+            add: true,
+            priority: 100,
+            mtch: FlowMatchSpec { teid: None, dst: None, src: None },
+            actions: vec![FlowActionSpec::GtpDecap],
+        };
+        prop_assert!(decode(&fm, 11, action).is_none());
+        prop_assert!(decode(&fm, 1, bad).is_none());
+        // tag, imsi (8), count (4): claim more bearers than bytes remain.
+        let ics = ControlMsg::InitialContextSetupRequest { imsi, erabs: vec![] };
+        let mut b = ics.into_packet(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED).payload.to_vec();
+        b[9..13].copy_from_slice(&extra.to_le_bytes());
+        prop_assert!(ControlMsg::decode(&b).is_none());
+    }
+
+    /// `json_len` is the length of the JSON encoding the wire sizes were
+    /// calibrated with, for every variant, and the binary body is never
+    /// longer, so padding covers the difference.
+    #[test]
+    fn json_len_matches_serde_json(msg in arb_msg_any()) {
+        let json = serde_json::to_vec(&msg).unwrap();
+        prop_assert_eq!(msg.json_len(), json.len(), "{}", String::from_utf8_lossy(&json));
+        prop_assert!(msg.into_packet(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED).payload.len() <= json.len());
+    }
+
+    /// A control packet or RRC frame is as large as its calibrated spec
+    /// or, when the JSON body would exceed it, its natural JSON size —
+    /// exactly what JSON payloads put on the wire.
+    #[test]
+    fn wire_size_is_spec_or_natural(msg in arb_msg_any(), src in arb_ip(), dst in arb_ip()) {
+        let spec = msg.wire_size_spec();
+        let json = msg.json_len() as u32;
+        let pkt = msg.into_packet(src, dst);
+        let header = 20 + acacia_simnet::packet::l4_header_len(pkt.protocol);
+        prop_assert_eq!(pkt.wire_size(), spec.max(header + json));
+        let frame = radio::rrc_frame(&msg, src, dst);
+        prop_assert_eq!(frame.wire_size(), spec.max(20 + 1 + json));
+        match radio::parse_frame(&frame) {
+            Some(radio::RadioPayload::Rrc(back)) => prop_assert_eq!(back, msg),
+            other => prop_assert!(false, "RRC frame parsed as {:?}", other),
+        }
+        for cut in 0..frame.payload.len() {
+            let mut short = frame.clone();
+            short.payload = frame.payload.slice(..cut);
+            prop_assert!(radio::parse_frame(&short).is_none());
+        }
     }
 
     /// TFT encoding round-trips through the wire representation exactly

@@ -9,7 +9,7 @@
 //! at all.
 //!
 //! Rules target packets by *message class* ([`PacketClass`]: protocol,
-//! source/destination port, TOS byte, or a payload substring tag) and can
+//! source/destination port, TOS byte, or leading payload bytes) and can
 //! be scoped to a time window, to the nth matching occurrence, or to a
 //! maximum number of firings. The first rule that matches and fires wins.
 //!
@@ -58,10 +58,10 @@ pub struct PacketClass {
     pub dst_port: Option<u16>,
     /// Match the TOS/DSCP byte (e.g. the RRC priority marking).
     pub tos: Option<u8>,
-    /// Match packets whose stored payload contains `"<tag>"` (with quotes)
-    /// — precise per-message targeting of JSON-encoded control messages by
-    /// their serde rename tag.
-    pub payload_tag: Option<String>,
+    /// Match packets whose stored payload starts with these bytes —
+    /// precise per-message targeting by a message's framing and tag byte
+    /// (empty matches every payload).
+    pub payload_prefix: Vec<u8>,
 }
 
 impl PacketClass {
@@ -118,10 +118,10 @@ impl PacketClass {
         self
     }
 
-    /// Builder-style: additionally require a payload tag (matched as a
-    /// quoted substring of the stored payload).
-    pub fn with_payload_tag(mut self, tag: &str) -> PacketClass {
-        self.payload_tag = Some(tag.to_string());
+    /// Builder-style: additionally require the stored payload to start
+    /// with `prefix`.
+    pub fn with_payload_prefix(mut self, prefix: &[u8]) -> PacketClass {
+        self.payload_prefix = prefix.to_vec();
         self
     }
 
@@ -147,14 +147,7 @@ impl PacketClass {
                 return false;
             }
         }
-        if let Some(tag) = &self.payload_tag {
-            let needle = format!("\"{tag}\"");
-            match std::str::from_utf8(&pkt.payload) {
-                Ok(text) if text.contains(&needle) => {}
-                _ => return false,
-            }
-        }
-        true
+        pkt.payload.starts_with(&self.payload_prefix)
     }
 }
 
@@ -573,15 +566,18 @@ mod tests {
     }
 
     #[test]
-    fn payload_tag_matches_quoted_substring() {
-        let class = PacketClass::any().with_payload_tag("PSq");
+    fn payload_prefix_matches_leading_bytes_only() {
+        let class = PacketClass::any().with_payload_prefix(&[2, 13]);
         let mut p = pkt(132, 36412);
-        p.payload = Bytes::from_static(br#"{"PSq":{"imsi":1}}"#);
+        p.payload = Bytes::from_static(&[2, 13, 99]);
         assert!(class.matches(&p));
-        p.payload = Bytes::from_static(br#"{"PSa":{"imsi":1}}"#);
+        p.payload = Bytes::from_static(&[2, 14, 13]);
+        assert!(!class.matches(&p));
+        p.payload = Bytes::from_static(&[2]);
         assert!(!class.matches(&p));
         p.payload = Bytes::new();
         assert!(!class.matches(&p));
+        assert!(PacketClass::any().matches(&p));
     }
 
     #[test]

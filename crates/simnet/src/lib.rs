@@ -10,6 +10,8 @@
 //! * [`time`] — [`Instant`]/[`Duration`] fixed-point sim time.
 //! * [`packet`] — IPv4-flavoured [`Packet`]s with byte-accurate wire sizes
 //!   and *virtual payload lengths* for volume traffic.
+//! * [`codec`] — the binary message codec (1-byte tag, little-endian
+//!   fields) and the JSON-length arithmetic behind modelled wire sizes.
 //! * [`sim`] — the [`Simulator`] event loop, the [`Node`] trait and the
 //!   [`Ctx`] handle nodes use to send packets and arm timers.
 //! * [`wheel`] — the timing-wheel priority queue behind the event loop
@@ -48,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod cloud;
+pub mod codec;
 pub mod fault;
 pub mod link;
 pub mod packet;
